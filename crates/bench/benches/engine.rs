@@ -6,10 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hpn_routing::hash::EcmpHasher;
 use hpn_routing::repac;
 use hpn_routing::{FiveTuple, HashMode, LinkHealth, RouteRequest, Router};
-use hpn_sim::{
-    AllocatorKind, Engine, FlowNet, FlowSpec, ParallelIncrementalMaxMin, SimDuration, SimTime,
-    SurrogateConfig, SurrogateMaxMin,
-};
+use hpn_sim::{AllocatorKind, Engine, FlowNet, FlowSpec, SimDuration, SimTime};
 use hpn_topology::HpnConfig;
 
 fn bench_flownet_recompute(c: &mut Criterion) {
@@ -56,8 +53,7 @@ const CHURN_BATCH: usize = 8;
 /// (each crosses two links inside an 8-link pod group), the shape a
 /// training job's collective traffic takes — so component-partitioned
 /// allocators recompute only the dirty pods while the dense one re-solves
-/// the world, and the parallel allocator solves the dirty pods on worker
-/// threads. The per-event touched-flow counts print after each
+/// the world. The per-event touched-flow counts print after each
 /// measurement for the EXPERIMENTS.md scope table, and the µs/event
 /// results land in `BENCH_alloc.json` (see [`write_alloc_tracking`]).
 fn bench_allocator_churn(c: &mut Criterion) {
@@ -68,26 +64,8 @@ fn bench_allocator_churn(c: &mut Criterion) {
         ("incremental", || {
             FlowNet::with_allocator(AllocatorKind::Incremental)
         }),
-        ("parallel1", || {
-            FlowNet::with_allocator_box(Box::new(
-                ParallelIncrementalMaxMin::with_jobs(1).min_component_flows(0),
-            ))
-        }),
-        ("parallel2", || {
-            FlowNet::with_allocator_box(Box::new(
-                ParallelIncrementalMaxMin::with_jobs(2).min_component_flows(0),
-            ))
-        }),
-        ("parallel4", || {
-            FlowNet::with_allocator_box(Box::new(
-                ParallelIncrementalMaxMin::with_jobs(4).min_component_flows(0),
-            ))
-        }),
         ("surrogate", || {
-            FlowNet::with_allocator_box(Box::new(SurrogateMaxMin::with_config(SurrogateConfig {
-                validate_every: 64,
-                cache_cap: 4096,
-            })))
+            FlowNet::with_allocator(AllocatorKind::Surrogate)
         }),
     ];
     let mut group = c.benchmark_group("allocator");
@@ -171,10 +149,7 @@ fn bench_allocator_churn(c: &mut Criterion) {
             FlowNet::with_allocator(AllocatorKind::Incremental)
         }),
         ("surrogate_collective", || {
-            FlowNet::with_allocator_box(Box::new(SurrogateMaxMin::with_config(SurrogateConfig {
-                validate_every: 64,
-                cache_cap: 4096,
-            })))
+            FlowNet::with_allocator(AllocatorKind::Surrogate)
         }),
     ];
     for &(name, make_net) in collective {

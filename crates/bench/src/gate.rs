@@ -8,10 +8,10 @@
 //! PR *intends* it to, in which case the golden file is regenerated with
 //! `hpn-experiments gate --quick --update` and reviewed in the diff.
 //!
-//! PR 1 established that the dense and incremental allocators produce
-//! byte-identical figures, so the golden file stores *one* hash per figure
-//! and CI runs the gate under both `HPN_ALLOCATOR` settings against the
-//! same goldens — the gate doubles as an allocator-equivalence check.
+//! Every allocator produces byte-identical figures, so the golden file
+//! stores *one* hash per figure and CI runs the gate under each
+//! `HPN_ALLOCATOR` setting against the same goldens — the gate doubles as
+//! an allocator-equivalence check.
 //!
 //! Each gate run also writes a deterministic [`RunManifest`] (and, per
 //! figure, a JSONL telemetry stream) into the output directory, so a CI
@@ -22,9 +22,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use hpn_sim::AllocatorKind;
 use hpn_telemetry::{
-    flat_map_json, hex_digest, parse_flat_map, replay, JsonlRecorder, RunManifest,
+    flat_map_json, hex_digest, parse_flat_map, replay, JsonlRecorder, RunManifest, SimCtx,
 };
 
 use crate::report::Report;
@@ -105,26 +104,18 @@ impl GateOutcome {
     }
 }
 
-/// The allocator label recorded in manifests and printed by the gate.
-pub fn allocator_label() -> &'static str {
-    match AllocatorKind::from_env() {
-        AllocatorKind::Dense => "dense",
-        AllocatorKind::Incremental => "incremental",
-        AllocatorKind::Parallel => "parallel",
-        AllocatorKind::Surrogate => "surrogate",
-    }
-}
-
-/// Run `ids` with telemetry enabled (on up to `jobs` worker threads),
-/// fingerprint each report, and compare against (or, with `update`,
-/// rewrite) the golden file. When `out_dir` is given, a `manifest.json`
-/// plus one `<id>.telemetry.jsonl` per figure are written there.
+/// Run `ids` with telemetry enabled (on up to `jobs` worker threads, each
+/// cell's context derived from `base`), fingerprint each report, and
+/// compare against (or, with `update`, rewrite) the golden file. When
+/// `out_dir` is given, a `manifest.json` plus one `<id>.telemetry.jsonl`
+/// per figure are written there.
 ///
 /// Every output is merged **in plan order** — `jobs` changes wall-clock
 /// only, never a byte of the figures, the JSONL streams or the manifest
 /// (which deliberately does not record `jobs`). `tests/determinism.rs`
 /// checks this equivalence end to end.
 pub fn run_gate(
+    base: &SimCtx,
     ids: &[&str],
     scale: Scale,
     update: bool,
@@ -136,13 +127,13 @@ pub fn run_gate(
     }
     // Experiments carry their own fixed seeds; the manifest records the
     // harness-level identity (allocator, scale, figure set).
-    let mut manifest = RunManifest::new(0, allocator_label(), scale_label(scale));
+    let mut manifest = RunManifest::new(0, base.allocator().name(), scale_label(scale));
     manifest.set_param("gate_figures", ids.join(","));
     manifest.set_param("seed_policy", "fixed per experiment");
 
     // `figures_only` keeps every experiment on its built-in fixed seeds —
     // the exact configuration the golden hashes fingerprint.
-    let results = run_plan(&RunPlan::figures_only(ids, scale), jobs);
+    let results = run_plan(base, &RunPlan::figures_only(ids, scale), jobs);
 
     let mut fingerprints: BTreeMap<String, String> = BTreeMap::new();
     let mut latency_fps: BTreeMap<String, String> = BTreeMap::new();

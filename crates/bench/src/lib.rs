@@ -13,14 +13,11 @@
 pub mod bench_regression;
 pub mod experiments;
 pub mod gate;
+pub mod pool;
 pub mod report;
 pub mod runner;
 pub mod scenario_cli;
 pub mod serve;
-
-// The work-stealing pool moved down into `hpn-sim` so the parallel rate
-// allocator could share it; re-exported here for the bench binaries.
-pub use hpn_sim::pool;
 
 pub use hpn_telemetry::SimCtx;
 pub use report::Report;

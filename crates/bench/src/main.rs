@@ -46,15 +46,19 @@
 //! inclusive) sweeps root seeds: one manifest per seed plus an aggregated
 //! `variance.json`.
 //!
-//! `--validate-every N` sets the surrogate allocator's online-validation
-//! cadence (equivalent to `HPN_SURROGATE_VALIDATE_EVERY=N`; only
-//! meaningful under `HPN_ALLOCATOR=surrogate`): every Nth prediction is
-//! re-solved exactly, `1` forces bitwise-exact rates, `0` disables
-//! validation entirely.
+//! `HPN_ALLOCATOR=dense|incremental|surrogate` selects the rate allocator
+//! (default incremental; `parallel` is accepted as an alias of
+//! incremental). `--validate-every N` sets the surrogate allocator's
+//! online-validation cadence (only meaningful under
+//! `HPN_ALLOCATOR=surrogate`): every Nth cache hit is re-solved exactly,
+//! `1` validates every hit, `0` disables validation entirely. Both are read
+//! once, here, into the base context every experiment, gate, run, scenario
+//! and serve cell derives from; the library crates read no environment.
 
 use std::io::Write as _;
 
 use hpn_bench::{find, registry, Scale, SimCtx};
+use hpn_sim::AllocatorKind;
 
 /// Value of `--flag` (the following argument), if present.
 fn opt_value(args: &[String], flag: &str) -> Option<String> {
@@ -88,6 +92,29 @@ fn parse_seeds(spec: &str) -> Result<Vec<u64>, String> {
     Ok((lo..hi).collect())
 }
 
+/// The base context: the allocator `HPN_ALLOCATOR` names and the
+/// `--validate-every` cadence. The only environment read in the workspace.
+fn base_ctx(validate_every: Option<&str>) -> SimCtx {
+    let mut ctx = SimCtx::new();
+    if let Ok(name) = std::env::var("HPN_ALLOCATOR") {
+        match AllocatorKind::from_name(&name) {
+            Some(kind) => ctx = ctx.with_allocator(kind),
+            None => eprintln!("HPN_ALLOCATOR: unknown allocator '{name}', using incremental"),
+        }
+    }
+    if let Some(v) = validate_every {
+        match v.parse::<u32>() {
+            // `0` = never validate is a legal cadence for perf probing.
+            Ok(n) => ctx = ctx.with_validate_every(n),
+            Err(_) => {
+                eprintln!("--validate-every wants a non-negative integer, got '{v}'");
+                std::process::exit(2);
+            }
+        }
+    }
+    ctx
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -104,16 +131,7 @@ fn main() {
     let threshold_arg = opt_value(&args, "--threshold");
     let validate_every_arg = opt_value(&args, "--validate-every");
     let addr_arg = opt_value(&args, "--addr");
-    if let Some(v) = &validate_every_arg {
-        match v.parse::<u32>() {
-            // `0` = never validate is a legal cadence for perf probing.
-            Ok(n) => std::env::set_var("HPN_SURROGATE_VALIDATE_EVERY", n.to_string()),
-            Err(_) => {
-                eprintln!("--validate-every wants a non-negative integer, got '{v}'");
-                std::process::exit(2);
-            }
-        }
-    }
+    let base = base_ctx(validate_every_arg.as_deref());
     let jobs = match &jobs_arg {
         None => 1,
         Some(v) => match v.parse::<usize>() {
@@ -164,7 +182,7 @@ fn main() {
         }
         "gate" => {
             let update = args.iter().any(|a| a == "--update");
-            gate(scale, update, out_dir.as_deref(), jobs);
+            gate(&base, scale, update, out_dir.as_deref(), jobs);
         }
         "scenario" => {
             let sub = targets.get(1).map(String::as_str).unwrap_or("");
@@ -198,7 +216,7 @@ fn main() {
                             }
                         },
                     };
-                    scenario_run(files, scale, jobs, out_dir.as_deref(), latency);
+                    scenario_run(&base, files, scale, jobs, out_dir.as_deref(), latency);
                 }
                 "fuzz" => {
                     let seeds = match seeds_arg.as_deref().map(parse_seeds) {
@@ -210,7 +228,7 @@ fn main() {
                         }
                     };
                     if args.iter().any(|a| a == "--serve") {
-                        scenario_fuzz_serve(files, jobs, seeds);
+                        scenario_fuzz_serve(&base, files, jobs, seeds);
                         return;
                     }
                     let budget_secs = match &budget_arg {
@@ -272,7 +290,7 @@ fn main() {
         "serve" => {
             let addr = addr_arg.as_deref().unwrap_or("127.0.0.1:7070");
             let share_memo = args.iter().any(|a| a == "--share-memo");
-            serve(addr, jobs, scale, share_memo);
+            serve(base, addr, jobs, scale, share_memo);
         }
         "run" => {
             let seeds = match seeds_arg.as_deref().map(parse_seeds) {
@@ -283,13 +301,13 @@ fn main() {
                     std::process::exit(2);
                 }
             };
-            run(&targets[1..], scale, jobs, seeds, out_dir.as_deref());
+            run(&base, &targets[1..], scale, jobs, seeds, out_dir.as_deref());
         }
         "all" => {
             let mut reports = Vec::new();
             for (id, _, f) in registry() {
                 eprintln!("... running {id} ({:?})", scale);
-                let r = f(&SimCtx::new(), scale);
+                let r = f(&base, scale);
                 r.print();
                 reports.push(r);
             }
@@ -307,7 +325,7 @@ fn main() {
         }
         id => match find(id) {
             Some(f) => {
-                let r = f(&SimCtx::new(), scale);
+                let r = f(&base, scale);
                 r.print();
                 if let Some(path) = json_path {
                     write_out(&path, &r.to_json());
@@ -321,18 +339,18 @@ fn main() {
     }
 }
 
-fn gate(scale: Scale, update: bool, out_dir: Option<&str>, jobs: usize) {
-    use hpn_bench::gate::{allocator_label, run_gate, FigureStatus, GATE_FIGURES};
+fn gate(base: &SimCtx, scale: Scale, update: bool, out_dir: Option<&str>, jobs: usize) {
+    use hpn_bench::gate::{run_gate, FigureStatus, GATE_FIGURES};
     eprintln!(
         "gate: {} figures, allocator={}, {:?}, jobs={jobs}{}",
         GATE_FIGURES.len(),
-        allocator_label(),
+        base.allocator().name(),
         scale,
         if update { ", updating goldens" } else { "" }
     );
     let out = out_dir.map(std::path::Path::new);
     let start = std::time::Instant::now();
-    let outcome = match run_gate(&GATE_FIGURES, scale, update, out, jobs) {
+    let outcome = match run_gate(base, &GATE_FIGURES, scale, update, out, jobs) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("gate failed: {e}");
@@ -489,8 +507,15 @@ fn bench_regression(baseline: Option<&str>, current: Option<&str>, threshold: f6
 /// workers, print the reports in plan order, and — for sweeps or when an
 /// output directory is given — write per-seed manifests, telemetry streams
 /// and an aggregated cross-seed `variance.json`.
-fn run(ids: &[String], scale: Scale, jobs: usize, seeds: Option<Vec<u64>>, out_dir: Option<&str>) {
-    use hpn_bench::gate::{allocator_label, GATE_FIGURES};
+fn run(
+    base: &SimCtx,
+    ids: &[String],
+    scale: Scale,
+    jobs: usize,
+    seeds: Option<Vec<u64>>,
+    out_dir: Option<&str>,
+) {
+    use hpn_bench::gate::GATE_FIGURES;
     use hpn_bench::runner::{run_plan, variance_json, write_sweep_outputs, RunPlan};
 
     let figures: Vec<&str> = if ids.is_empty() {
@@ -513,12 +538,12 @@ fn run(ids: &[String], scale: Scale, jobs: usize, seeds: Option<Vec<u64>>, out_d
         plan.figures.len(),
         plan.seeds.len(),
         plan.figures.len() * plan.seeds.len(),
-        allocator_label(),
+        base.allocator().name(),
         scale,
     );
 
     let start = std::time::Instant::now();
-    let results = run_plan(&plan, jobs);
+    let results = run_plan(base, &plan, jobs);
     let wall = start.elapsed();
 
     for r in &results {
@@ -568,13 +593,13 @@ fn run(ids: &[String], scale: Scale, jobs: usize, seeds: Option<Vec<u64>>, out_d
 /// cell on the parallel runner, and write the same manifest + telemetry
 /// outputs a figure run produces.
 fn scenario_run(
+    base: &SimCtx,
     files: &[String],
     scale: Scale,
     jobs: usize,
     out_dir: Option<&str>,
     latency: hpn_bench::scenario_cli::LatencyMode,
 ) {
-    use hpn_bench::gate::allocator_label;
     use hpn_bench::runner::{run_cells, write_sweep_outputs, Cell, RunPlan};
     use hpn_bench::scenario_cli;
 
@@ -606,7 +631,7 @@ fn scenario_run(
     eprintln!(
         "scenario run: {} cell(s), allocator={}, {:?}, jobs={jobs}",
         scenarios.len(),
-        allocator_label(),
+        base.allocator().name(),
         scale,
     );
 
@@ -626,7 +651,7 @@ fn scenario_run(
         })
         .collect();
     let start = std::time::Instant::now();
-    let results = run_cells(tasks, scale, jobs);
+    let results = run_cells(base, tasks, scale, jobs);
     let wall = start.elapsed();
 
     for r in &results {
@@ -660,7 +685,8 @@ fn scenario_run(
 /// work-stealing pool. Each seed is a pure function of `(seed, mutation)`,
 /// and results are printed in seed order — output is byte-identical at any
 /// `--jobs`. Shrunk reproducers are written as `failing_<seed>.toml` under
-/// the output directory.
+/// the output directory. The invariant battery builds its own allocators
+/// (every one, side by side), so it takes no base context.
 fn scenario_fuzz(
     files: &[String],
     jobs: usize,
@@ -789,15 +815,17 @@ fn scenario_fuzz(
 }
 
 /// The `serve` subcommand: run the what-if server until `POST /shutdown`.
-fn serve(addr: &str, jobs: usize, scale: Scale, share_memo: bool) {
+fn serve(base: SimCtx, addr: &str, jobs: usize, scale: Scale, share_memo: bool) {
     use hpn_bench::serve::{ServeConfig, Server};
-    let server = match Server::spawn(
+    let allocator = base.allocator().name();
+    let server = match Server::spawn_with(
         addr,
         ServeConfig {
             jobs,
             scale,
             share_memo,
         },
+        base,
     ) {
         Ok(s) => s,
         Err(e) => {
@@ -806,7 +834,7 @@ fn serve(addr: &str, jobs: usize, scale: Scale, share_memo: bool) {
         }
     };
     eprintln!(
-        "serve: listening on http://{} ({:?}, jobs={jobs}, memo sharing {})",
+        "serve: listening on http://{} ({:?}, jobs={jobs}, allocator={allocator}, memo sharing {})",
         server.addr(),
         scale,
         if share_memo { "on" } else { "off" },
@@ -821,7 +849,7 @@ fn serve(addr: &str, jobs: usize, scale: Scale, share_memo: bool) {
 /// and require each response to be bitwise equal to the in-process,
 /// cache-free oracle. Repeats share the server's artifact cache, so this
 /// sweeps warm-cache states the unit tests cannot reach.
-fn scenario_fuzz_serve(files: &[String], jobs: usize, seeds: Option<Vec<u64>>) {
+fn scenario_fuzz_serve(base: &SimCtx, files: &[String], jobs: usize, seeds: Option<Vec<u64>>) {
     use hpn_bench::scenario_cli;
     use hpn_bench::serve::{diff_vs_oracle, ServeConfig, Server};
 
@@ -848,13 +876,14 @@ fn scenario_fuzz_serve(files: &[String], jobs: usize, seeds: Option<Vec<u64>>) {
             std::process::exit(2);
         }
     }
-    let server = match Server::spawn(
+    let server = match Server::spawn_with(
         "127.0.0.1:0",
         ServeConfig {
             jobs,
             scale: Scale::Quick,
             share_memo: false,
         },
+        base.clone(),
     ) {
         Ok(s) => s,
         Err(e) => {
@@ -870,7 +899,7 @@ fn scenario_fuzz_serve(files: &[String], jobs: usize, seeds: Option<Vec<u64>>) {
     let start = std::time::Instant::now();
     let mut failing = 0usize;
     for (label, sc) in &cases {
-        match diff_vs_oracle(server.addr(), sc, Scale::Quick) {
+        match diff_vs_oracle(server.addr(), base, sc, Scale::Quick) {
             Ok(()) => println!(
                 "  {label:<12} ok    serve ≡ oracle (scenario '{}')",
                 sc.name

@@ -4,14 +4,12 @@
 //! small slice of it the callers need: seed a fixed set of tasks across
 //! per-worker deques, let each worker drain its own queue from the front
 //! and steal from the *back* of its neighbours' when idle — long-running
-//! tasks (fig13's queue build-up, fig16's GPT-175B iterations, a large
-//! bottleneck component in a parallel rate re-solve) migrate to idle
-//! workers instead of serializing behind a round-robin assignment.
+//! tasks (fig13's queue build-up, fig16's GPT-175B iterations) migrate to
+//! idle workers instead of serializing behind a round-robin assignment.
 //!
-//! It lives in `hpn-sim` (the workspace's bottom crate) so both the
-//! experiment runner (`hpn-bench`, one task per experiment cell) and the
-//! parallel rate allocator ([`crate::alloc::ParallelIncrementalMaxMin`],
-//! one task per connected component) share a single implementation.
+//! Its callers are the experiment runner (one task per experiment cell)
+//! and the fuzz harness (one task per seed). A simulation itself never
+//! uses it: one session runs on one thread.
 //!
 //! Determinism contract: results are returned **indexed by task order**,
 //! never by completion order. The scheduler affects wall-clock only; any
@@ -33,37 +31,13 @@ where
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    run_indexed_with(jobs, items, || (), |(), i, item| f(i, item))
-}
-
-/// Like [`run_indexed`], but each worker thread first builds its own state
-/// with `init` and every task it runs gets `&mut` access to it.
-///
-/// This is the scratch-reuse hook the parallel allocator needs: a rate
-/// re-solve wants per-worker fill scratch (two link-table-sized vectors)
-/// allocated once per worker, not once per component. The state never
-/// crosses threads, so `S` needs no `Send`/`Sync` bounds beyond what
-/// `init` itself captures.
-///
-/// Determinism contract: as for [`run_indexed`] — results are indexed by
-/// task order. Worker state must not leak information between tasks in a
-/// way that changes results (scratch that each task fully re-initialises
-/// for the entries it reads is fine).
-pub fn run_indexed_with<T, R, S, I, F>(jobs: usize, items: Vec<T>, init: I, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, T) -> R + Sync,
-{
     let n = items.len();
     let jobs = jobs.max(1).min(n.max(1));
     if jobs <= 1 {
-        let mut state = init();
         return items
             .into_iter()
             .enumerate()
-            .map(|(i, item)| f(&mut state, i, item))
+            .map(|(i, item)| f(i, item))
             .collect();
     }
 
@@ -88,46 +62,42 @@ where
             let results = &results;
             let panicked = &panicked;
             let f = &f;
-            let init = &init;
             // Match the main thread's default 8 MiB stack: tasks run the
             // same simulations the sequential path runs on the main thread.
             let worker = std::thread::Builder::new()
                 .name(format!("hpn-worker-{w}"))
                 .stack_size(8 << 20);
             worker
-                .spawn_scoped(s, move || {
-                    let mut state = init();
-                    loop {
-                        let task = {
-                            let own = queues[w].lock().expect("pool queue").pop_front();
-                            own.or_else(|| {
-                                (1..jobs).find_map(|d| {
-                                    queues[(w + d) % jobs]
-                                        .lock()
-                                        .expect("pool queue")
-                                        .pop_back()
-                                })
+                .spawn_scoped(s, move || loop {
+                    let task = {
+                        let own = queues[w].lock().expect("pool queue").pop_front();
+                        own.or_else(|| {
+                            (1..jobs).find_map(|d| {
+                                queues[(w + d) % jobs]
+                                    .lock()
+                                    .expect("pool queue")
+                                    .pop_back()
                             })
-                        };
-                        match task {
-                            Some((i, item)) => {
-                                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    f(&mut state, i, item)
-                                })) {
-                                    Ok(r) => {
-                                        *results[i].lock().expect("pool result slot") = Some(r);
-                                    }
-                                    Err(payload) => {
-                                        panicked
-                                            .lock()
-                                            .expect("pool panic slot")
-                                            .get_or_insert(payload);
-                                        break;
-                                    }
+                        })
+                    };
+                    match task {
+                        Some((i, item)) => {
+                            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                f(i, item)
+                            })) {
+                                Ok(r) => {
+                                    *results[i].lock().expect("pool result slot") = Some(r);
+                                }
+                                Err(payload) => {
+                                    panicked
+                                        .lock()
+                                        .expect("pool panic slot")
+                                        .get_or_insert(payload);
+                                    break;
                                 }
                             }
-                            None => break,
                         }
+                        None => break,
                     }
                 })
                 .expect("spawn pool worker");
@@ -203,44 +173,5 @@ mod tests {
             }
             i
         });
-    }
-
-    #[test]
-    fn per_worker_state_is_reused_within_a_worker() {
-        // Each worker's state counts the tasks it ran; totals must cover
-        // every task exactly once regardless of which worker ran it.
-        let grand_total = AtomicUsize::new(0);
-        let out = run_indexed_with(
-            3,
-            (0..40).collect::<Vec<usize>>(),
-            || 0usize,
-            |count, i, item| {
-                assert_eq!(i, item);
-                *count += 1;
-                grand_total.fetch_add(1, Ordering::Relaxed);
-                item * 2
-            },
-        );
-        assert_eq!(out, (0..40).map(|x| x * 2).collect::<Vec<_>>());
-        assert_eq!(grand_total.load(Ordering::Relaxed), 40);
-    }
-
-    #[test]
-    fn inline_path_builds_state_once() {
-        let built = AtomicUsize::new(0);
-        let out = run_indexed_with(
-            1,
-            vec![1, 2, 3],
-            || {
-                built.fetch_add(1, Ordering::Relaxed);
-                Vec::<i32>::new()
-            },
-            |scratch, _, x| {
-                scratch.push(x);
-                scratch.len()
-            },
-        );
-        assert_eq!(built.load(Ordering::Relaxed), 1);
-        assert_eq!(out, vec![1, 2, 3], "one shared state on the inline path");
     }
 }

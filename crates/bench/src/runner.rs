@@ -8,9 +8,10 @@
 //! to the sequential run's, by construction rather than by luck:
 //!
 //! 1. **Cell isolation.** Each cell gets its own [`hpn_telemetry::SimCtx`]
-//!    — recorder handle, sweep root seed, allocator selection — built by
-//!    the runner and passed explicitly into the experiment, so telemetry
-//!    cannot interleave across cells and nothing is thread-scoped.
+//!    — derived by the runner from the caller's base context (allocator
+//!    selection), with the cell's own recorder handle and sweep root seed —
+//!    passed explicitly into the experiment, so telemetry cannot interleave
+//!    across cells and nothing is thread-scoped.
 //!    Experiments share no other mutable state — every cell builds its own
 //!    fabric and simulator, and the context (like everything it carries)
 //!    is `Send`, so cells migrate freely across pool workers.
@@ -33,11 +34,12 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use hpn_sim::AllocatorKind;
 use hpn_telemetry::{
     replay, Event, EventLog, JsonlRecorder, Recorder, Registry, RunManifest, SharedRecorder, SimCtx,
 };
 
-use crate::gate::{allocator_label, figure_fingerprint};
+use crate::gate::figure_fingerprint;
 use crate::pool;
 use crate::report::{json_num, json_str, Report};
 use crate::{find, ExperimentFn, Scale};
@@ -125,6 +127,9 @@ impl RunPlan {
 pub struct CellResult {
     /// The cell that ran.
     pub cell: Cell,
+    /// The allocator the cell's context selected; manifests record its
+    /// name.
+    pub allocator: AllocatorKind,
     /// The experiment's report.
     pub report: Report,
     /// SHA-256 of the report's canonical bytes.
@@ -155,33 +160,43 @@ impl Recorder for CellSink {
 
 /// The `SimStart` label of a cell — same format the sequential gate has
 /// always written, so parallel JSONL streams are byte-identical.
-fn cell_label(cell: &Cell, scale: Scale) -> String {
+fn cell_label(cell: &Cell, scale: Scale, allocator: AllocatorKind) -> String {
     format!(
         "{} seed={} allocator={} scale={}",
         cell.figure,
         cell.seed.unwrap_or(0),
-        allocator_label(),
+        allocator.name(),
         scale_label(scale)
     )
 }
 
-/// Execute one cell in isolation on the current thread.
-///
-/// Builds the cell's [`SimCtx`] — recorder teeing into the captured
-/// segment and the registry, sweep root seed from the plan — and passes it
-/// to the cell body. Generic over the body so user-authored scenarios
-/// (closures built by `scenario_cli`) run through the exact same context /
-/// telemetry / fingerprint machinery as the registered experiments.
-fn run_cell<F: Fn(&SimCtx, Scale) -> Report>(cell: &Cell, scale: Scale, f: F) -> CellResult {
-    run_cell_into(cell, scale, EventLog::new(), f)
+/// Execute one cell in isolation on the current thread, capturing into a
+/// fresh log (see [`run_cell_into`]).
+fn run_cell<F: Fn(&SimCtx, Scale) -> Report>(
+    base: &SimCtx,
+    cell: &Cell,
+    scale: Scale,
+    f: F,
+) -> CellResult {
+    run_cell_into(base, cell, scale, EventLog::new(), f)
 }
 
-/// Run one cell capturing into a caller-supplied [`EventLog`]. The serve
-/// path hands in a log it keeps a clone of, so a connection thread can
-/// stream the cell's telemetry ([`hpn_telemetry::EventStream`]) while the
-/// cell still runs; the result's `events` are the complete segment either
-/// way, so downstream manifest/fingerprint handling is identical.
+/// Execute one cell in isolation on the current thread, capturing into a
+/// caller-supplied [`EventLog`].
+///
+/// Derives the cell's [`SimCtx`] from `base` — its allocator and
+/// validation cadence carry over — with a recorder teeing into the
+/// captured segment and the registry, and the plan's sweep root seed, then
+/// passes it to the cell body. Generic over the body so user-authored
+/// scenarios (closures built by `scenario_cli`) run through the exact same
+/// context / telemetry / fingerprint machinery as the registered
+/// experiments. The serve path hands in a log it keeps a clone of, so a
+/// connection thread can stream the cell's telemetry
+/// ([`hpn_telemetry::EventStream`]) while the cell still runs; the
+/// result's `events` are the complete segment either way, so downstream
+/// manifest/fingerprint handling is identical.
 pub fn run_cell_into<F: Fn(&SimCtx, Scale) -> Report>(
+    base: &SimCtx,
     cell: &Cell,
     scale: Scale,
     log: EventLog,
@@ -195,9 +210,9 @@ pub fn run_cell_into<F: Fn(&SimCtx, Scale) -> Report>(
         registry: registry.clone(),
     }));
     rec.record(&Event::SimStart {
-        label: cell_label(cell, scale),
+        label: cell_label(cell, scale, base.allocator()),
     });
-    let mut ctx = SimCtx::new().with_recorder(rec);
+    let mut ctx = base.clone().with_recorder(rec);
     if let Some(root) = cell.seed {
         ctx = ctx.with_root_seed(root);
     }
@@ -211,6 +226,7 @@ pub fn run_cell_into<F: Fn(&SimCtx, Scale) -> Report>(
         .unwrap_or_else(|arc| arc.lock().expect("cell registry").clone());
     CellResult {
         cell: cell.clone(),
+        allocator: base.allocator(),
         fingerprint: figure_fingerprint(&report),
         report,
         registry,
@@ -219,19 +235,27 @@ pub fn run_cell_into<F: Fn(&SimCtx, Scale) -> Report>(
     }
 }
 
-/// Run an arbitrary batch of `(cell, body)` tasks across `jobs` workers
-/// and return results in plan (index) order. `jobs <= 1` is the exact
-/// sequential path (no pool).
-pub fn run_cells<F>(tasks: Vec<(Cell, F)>, scale: Scale, jobs: usize) -> Vec<CellResult>
+/// Run an arbitrary batch of `(cell, body)` tasks across `jobs` workers,
+/// each cell's context derived from `base`, and return results in plan
+/// (index) order. `jobs <= 1` is the exact sequential path (no pool).
+pub fn run_cells<F>(
+    base: &SimCtx,
+    tasks: Vec<(Cell, F)>,
+    scale: Scale,
+    jobs: usize,
+) -> Vec<CellResult>
 where
     F: Fn(&SimCtx, Scale) -> Report + Send + Sync,
 {
-    pool::run_indexed(jobs, tasks, move |_, (cell, f)| run_cell(&cell, scale, f))
+    pool::run_indexed(jobs, tasks, move |_, (cell, f)| {
+        run_cell(base, &cell, scale, f)
+    })
 }
 
-/// Run every cell of the plan across `jobs` workers and return results in
-/// plan order. `jobs <= 1` is the exact sequential path (no pool).
-pub fn run_plan(plan: &RunPlan, jobs: usize) -> Vec<CellResult> {
+/// Run every cell of the plan across `jobs` workers, each cell's context
+/// derived from `base`, and return results in plan order. `jobs <= 1` is
+/// the exact sequential path (no pool).
+pub fn run_plan(base: &SimCtx, plan: &RunPlan, jobs: usize) -> Vec<CellResult> {
     let tasks: Vec<(Cell, ExperimentFn)> = plan
         .cells()
         .into_iter()
@@ -240,16 +264,16 @@ pub fn run_plan(plan: &RunPlan, jobs: usize) -> Vec<CellResult> {
             (c, f)
         })
         .collect();
-    run_cells(tasks, plan.scale, jobs)
+    run_cells(base, tasks, plan.scale, jobs)
 }
 
 /// Write one manifest per sweep seed (`manifest-seed<root>.json`) plus the
 /// per-cell telemetry streams, and return the manifests in seed order.
 ///
-/// The manifests record what the run *produced* — seed, figures,
-/// fingerprints, telemetry summaries — never how it was scheduled: `jobs`
-/// deliberately does not appear, so a parallel sweep's manifests are
-/// byte-identical to a sequential sweep's.
+/// The manifests record what the run *produced* — the allocator its cells
+/// ran, seed, figures, fingerprints, telemetry summaries — never how it
+/// was scheduled: `jobs` deliberately does not appear, so a parallel
+/// sweep's manifests are byte-identical to a sequential sweep's.
 pub fn write_sweep_outputs(
     plan: &RunPlan,
     results: &[CellResult],
@@ -260,11 +284,12 @@ pub fn write_sweep_outputs(
     }
     let mut manifests = Vec::new();
     for &seed in &plan.seeds {
-        let mut manifest = RunManifest::new(
-            seed.unwrap_or(0),
-            allocator_label(),
-            scale_label(plan.scale),
-        );
+        let allocator = results
+            .iter()
+            .find(|r| r.cell.seed == seed)
+            .map_or(AllocatorKind::default(), |r| r.allocator);
+        let mut manifest =
+            RunManifest::new(seed.unwrap_or(0), allocator.name(), scale_label(plan.scale));
         manifest.set_param("figures", plan.figures.join(","));
         manifest.set_param(
             "seed_policy",
@@ -420,8 +445,8 @@ mod tests {
     #[test]
     fn parallel_run_is_byte_identical_to_sequential() {
         let plan = RunPlan::figures_only(&CHEAP, Scale::Quick);
-        let seq = run_plan(&plan, 1);
-        let par = run_plan(&plan, 4);
+        let seq = run_plan(&SimCtx::new(), &plan, 1);
+        let par = run_plan(&SimCtx::new(), &plan, 4);
         assert_eq!(summaries(&seq), summaries(&par));
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(a.report.to_json(), b.report.to_json(), "{}", a.cell.figure);
@@ -433,8 +458,8 @@ mod tests {
     fn sweep_seeds_reproduce_and_decorrelate() {
         let plan_a = RunPlan::sweep(&["fig06"], Scale::Quick, &[1, 2]);
         let plan_b = RunPlan::sweep(&["fig06"], Scale::Quick, &[2]);
-        let a = run_plan(&plan_a, 2);
-        let b = run_plan(&plan_b, 1);
+        let a = run_plan(&SimCtx::new(), &plan_a, 2);
+        let b = run_plan(&SimCtx::new(), &plan_b, 1);
         // Different roots change the figure; the same root reproduces it
         // regardless of which plan (or schedule) it ran under.
         assert_ne!(a[0].fingerprint, a[1].fingerprint);
@@ -444,7 +469,7 @@ mod tests {
     #[test]
     fn sweep_outputs_and_variance_report() {
         let plan = RunPlan::sweep(&CHEAP, Scale::Quick, &[1, 2, 3]);
-        let results = run_plan(&plan, 4);
+        let results = run_plan(&SimCtx::new(), &plan, 4);
         let manifests = write_sweep_outputs(&plan, &results, None).expect("no io without dir");
         assert_eq!(manifests.len(), 3);
         assert_eq!(manifests[0].seed, 1);
@@ -460,6 +485,30 @@ mod tests {
     }
 
     #[test]
+    fn manifest_names_the_allocator_the_base_ctx_ran() {
+        let plan = RunPlan::figures_only(&["fig06"], Scale::Quick);
+        let base = SimCtx::new().with_allocator(AllocatorKind::Surrogate);
+        let results = run_plan(&base, &plan, 1);
+        assert_eq!(results[0].allocator, AllocatorKind::Surrogate);
+        let manifests = write_sweep_outputs(&plan, &results, None).expect("no io without dir");
+        assert!(
+            manifests[0]
+                .to_json()
+                .contains("\"allocator\": \"surrogate\""),
+            "{}",
+            manifests[0].to_json()
+        );
+        assert!(
+            matches!(&results[0].events[0], Event::SimStart { label }
+                if label.contains("allocator=surrogate")),
+            "SimStart label names the allocator that ran"
+        );
+        let default = run_plan(&SimCtx::new(), &plan, 1);
+        let manifests = write_sweep_outputs(&plan, &default, None).expect("no io without dir");
+        assert_eq!(manifests[0].allocator, "incremental");
+    }
+
+    #[test]
     fn golden_run_fingerprints_are_sweep_independent() {
         // A `None` cell inside a mixed workload must equal a plain run:
         // the sweep scope cannot leak across cells on the same worker.
@@ -468,8 +517,12 @@ mod tests {
             seeds: vec![Some(5), None, Some(6)],
             scale: Scale::Quick,
         };
-        let mixed_results = run_plan(&mixed, 1);
-        let plain = run_plan(&RunPlan::figures_only(&["fig06"], Scale::Quick), 1);
+        let mixed_results = run_plan(&SimCtx::new(), &mixed, 1);
+        let plain = run_plan(
+            &SimCtx::new(),
+            &RunPlan::figures_only(&["fig06"], Scale::Quick),
+            1,
+        );
         assert_eq!(mixed_results[1].fingerprint, plain[0].fingerprint);
         assert_ne!(mixed_results[0].fingerprint, plain[0].fingerprint);
     }

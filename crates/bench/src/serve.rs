@@ -45,7 +45,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use hpn_scenario::{ArtifactCache, Scenario};
-use hpn_telemetry::{replay, EventLog, EventStream, JsonlRecorder, Recorder, SharedBuf};
+use hpn_telemetry::{replay, EventLog, EventStream, JsonlRecorder, Recorder, SharedBuf, SimCtx};
 
 use crate::report::json_str;
 use crate::runner::{run_cell_into, write_sweep_outputs, Cell, CellResult, RunPlan};
@@ -105,6 +105,8 @@ struct SurrogateTotals {
 
 /// State shared by the accept loop, connection threads and workers.
 struct Shared {
+    /// The context every request's cell derives from (allocator choice).
+    base: SimCtx,
     cache: ArtifactCache,
     scale: Scale,
     jobs: usize,
@@ -162,11 +164,19 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind `addr` and start the accept loop plus `config.jobs` workers.
+    /// Bind `addr` and start the accept loop plus `config.jobs` workers,
+    /// running every request under the default context.
     pub fn spawn(addr: &str, config: ServeConfig) -> io::Result<Server> {
+        Self::spawn_with(addr, config, SimCtx::new())
+    }
+
+    /// [`Server::spawn`], deriving every request's cell context from
+    /// `base` — how the `serve` subcommand applies `HPN_ALLOCATOR`.
+    pub fn spawn_with(addr: &str, config: ServeConfig, base: SimCtx) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let shared = Arc::new(Shared {
+            base,
             cache: ArtifactCache::new().with_memo_sharing(config.share_memo),
             scale: config.scale,
             jobs: config.jobs.max(1),
@@ -281,9 +291,21 @@ fn worker(shared: &Arc<Shared>) {
         let sc = job.sc.clone();
         let cache_shared = Arc::clone(shared);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_cell_into(&cell, shared.scale, job.log.clone(), move |ctx, scale| {
-                report_with_latency_cached(ctx, &sc, scale, LatencyMode::Off, &cache_shared.cache)
-            })
+            run_cell_into(
+                &shared.base,
+                &cell,
+                shared.scale,
+                job.log.clone(),
+                move |ctx, scale| {
+                    report_with_latency_cached(
+                        ctx,
+                        &sc,
+                        scale,
+                        LatencyMode::Off,
+                        &cache_shared.cache,
+                    )
+                },
+            )
         }));
         {
             let mut st = job.state.state.lock().expect("job state");
@@ -735,16 +757,22 @@ pub fn split_run_body(body: &[u8]) -> Option<(&[u8], &[u8])> {
 // -------------------------------------------------------------- oracle --
 
 /// The in-process oracle's expected bytes for running `sc` as a batch
-/// cell: `(telemetry JSONL, manifest JSON)` — exactly what
-/// `scenario run --out` writes and what a `/scenario/run` response must
-/// reproduce.
+/// cell under the default context: `(telemetry JSONL, manifest JSON)` —
+/// exactly what `scenario run --out` writes and what a `/scenario/run`
+/// response must reproduce.
 pub fn oracle_bytes(sc: &Scenario, scale: Scale) -> (Vec<u8>, String) {
+    oracle_bytes_with(&SimCtx::new(), sc, scale)
+}
+
+/// [`oracle_bytes`] with the cell's context derived from `base`, for a
+/// server spawned with [`Server::spawn_with`].
+pub fn oracle_bytes_with(base: &SimCtx, sc: &Scenario, scale: Scale) -> (Vec<u8>, String) {
     let cell = Cell {
         index: 0,
         figure: sc.name.clone(),
         seed: None,
     };
-    let result = run_cell_into(&cell, scale, EventLog::new(), |ctx, scale| {
+    let result = run_cell_into(base, &cell, scale, EventLog::new(), |ctx, scale| {
         report_with_latency(ctx, sc, scale, LatencyMode::Off)
     });
     let buf = SharedBuf::new();
@@ -761,9 +789,15 @@ pub fn oracle_bytes(sc: &Scenario, scale: Scale) -> (Vec<u8>, String) {
 }
 
 /// POST `sc` to a live server and require its response to be bitwise equal
-/// to the in-process (cache-free) oracle — the serve determinism contract,
-/// used by the `scenario fuzz --serve` leg and the serve test suite.
-pub fn diff_vs_oracle(addr: SocketAddr, sc: &Scenario, scale: Scale) -> Result<(), String> {
+/// to the in-process (cache-free) oracle run under the server's base
+/// context — the serve determinism contract, used by the
+/// `scenario fuzz --serve` leg and the serve test suite.
+pub fn diff_vs_oracle(
+    addr: SocketAddr,
+    base: &SimCtx,
+    sc: &Scenario,
+    scale: Scale,
+) -> Result<(), String> {
     let toml = sc.to_toml();
     let (status, body) = request(addr, "POST", "/scenario/run", toml.as_bytes())
         .map_err(|e| format!("request failed: {e}"))?;
@@ -775,7 +809,7 @@ pub fn diff_vs_oracle(addr: SocketAddr, sc: &Scenario, scale: Scale) -> Result<(
     }
     let (jsonl, manifest) =
         split_run_body(&body).ok_or_else(|| "response has no manifest separator".to_string())?;
-    let (want_jsonl, want_manifest) = oracle_bytes(sc, scale);
+    let (want_jsonl, want_manifest) = oracle_bytes_with(base, sc, scale);
     if jsonl != want_jsonl {
         return Err(format!(
             "telemetry drift: served {} bytes, oracle {} bytes",
@@ -865,8 +899,9 @@ mod tests {
     fn run_streams_oracle_identical_bytes() {
         let server = spawn_quick(2);
         let sc = Scenario::parse_toml(&tiny_toml()).unwrap();
-        diff_vs_oracle(server.addr(), &sc, Scale::Quick).expect("cold run matches oracle");
-        diff_vs_oracle(server.addr(), &sc, Scale::Quick).expect("warm run matches oracle");
+        let base = SimCtx::new();
+        diff_vs_oracle(server.addr(), &base, &sc, Scale::Quick).expect("cold run matches oracle");
+        diff_vs_oracle(server.addr(), &base, &sc, Scale::Quick).expect("warm run matches oracle");
         let stats = server.cache_stats();
         assert_eq!(stats.topology_hits, 1, "second run reused the fabric");
         assert_eq!(stats.path_hits, 1, "second run reused the route set");

@@ -5,8 +5,9 @@
 use hpn_bench::serve::{
     diff_vs_oracle, oracle_bytes, request, split_run_body, ServeConfig, Server, MAX_BODY,
 };
-use hpn_bench::Scale;
+use hpn_bench::{Scale, SimCtx};
 use hpn_scenario::{FaultsSpec, Injection, ModelId, Scenario, TopologySpec, WorkloadSpec};
+use hpn_sim::AllocatorKind;
 use hpn_topology::HpnConfig;
 
 fn training(name: &str) -> Scenario {
@@ -47,12 +48,17 @@ fn spawn(jobs: usize) -> Server {
 fn serve_matches_batch_bytes_cold_and_warm() {
     let server = spawn(2);
     let sc = training("serve-batch");
-    diff_vs_oracle(server.addr(), &sc, Scale::Quick).expect("cold");
-    diff_vs_oracle(server.addr(), &sc, Scale::Quick).expect("warm (full hit)");
+    diff_vs_oracle(server.addr(), &SimCtx::new(), &sc, Scale::Quick).expect("cold");
+    diff_vs_oracle(server.addr(), &SimCtx::new(), &sc, Scale::Quick).expect("warm (full hit)");
     // Different fault schedule: topology/router/paths stay warm, output
     // still matches the cache-free oracle byte for byte.
-    diff_vs_oracle(server.addr(), &faulty("serve-faulty"), Scale::Quick)
-        .expect("warm (same topology, different faults)");
+    diff_vs_oracle(
+        server.addr(),
+        &SimCtx::new(),
+        &faulty("serve-faulty"),
+        Scale::Quick,
+    )
+    .expect("warm (same topology, different faults)");
     let stats = server.cache_stats();
     assert_eq!(stats.topology_misses, 1, "one fabric build total");
     assert_eq!(stats.topology_hits, 2);
@@ -83,7 +89,8 @@ fn eight_concurrent_clients_interleave_check_and_run() {
                 let (status, body) =
                     request(addr, "POST", "/scenario/check", toml.as_bytes()).expect("check");
                 assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
-                diff_vs_oracle(addr, &sc, Scale::Quick).expect("run matches oracle");
+                diff_vs_oracle(addr, &SimCtx::new(), &sc, Scale::Quick)
+                    .expect("run matches oracle");
                 let (status, _) = request(addr, "GET", "/status", b"").expect("status");
                 assert_eq!(status, 200);
             })
@@ -134,7 +141,13 @@ fn bad_requests_get_structured_errors_without_cache_poisoning() {
     );
 
     // The server still works afterwards.
-    diff_vs_oracle(addr, &training("after-errors"), Scale::Quick).expect("healthy after 4xx");
+    diff_vs_oracle(
+        addr,
+        &SimCtx::new(),
+        &training("after-errors"),
+        Scale::Quick,
+    )
+    .expect("healthy after 4xx");
     server.stop();
     server.join();
 }
@@ -161,6 +174,41 @@ fn run_response_shape_is_jsonl_then_manifest() {
     let (want_jsonl, want_manifest) = oracle_bytes(&sc, Scale::Quick);
     assert_eq!(jsonl, want_jsonl.as_slice());
     assert_eq!(manifest, want_manifest.as_bytes());
+    server.stop();
+    server.join();
+}
+
+/// The server's base context reaches every request's cell: a server
+/// spawned with the surrogate allocator serves the surrogate oracle's
+/// bytes, and its manifest names the allocator that ran.
+#[test]
+fn spawn_with_runs_requests_under_the_base_ctx() {
+    let base = SimCtx::new().with_allocator(AllocatorKind::Surrogate);
+    let server = Server::spawn_with(
+        "127.0.0.1:0",
+        ServeConfig {
+            jobs: 1,
+            scale: Scale::Quick,
+            share_memo: false,
+        },
+        base.clone(),
+    )
+    .expect("bind loopback");
+    let sc = training("surrogate-base");
+    diff_vs_oracle(server.addr(), &base, &sc, Scale::Quick).expect("served ≡ surrogate oracle");
+    let (_, body) = request(
+        server.addr(),
+        "POST",
+        "/scenario/run",
+        sc.to_toml().as_bytes(),
+    )
+    .expect("run");
+    let (_, manifest) = split_run_body(&body).expect("separator present");
+    let manifest = std::str::from_utf8(manifest).unwrap();
+    assert!(
+        manifest.contains("\"allocator\": \"surrogate\""),
+        "{manifest}"
+    );
     server.stop();
     server.join();
 }

@@ -48,7 +48,8 @@ fn recorder_does_not_change_figure_bytes() {
 fn gate_matches_goldens_and_manifest_covers_the_run() {
     let out = tmp_dir("gate-out");
     let ids = ["fig19"];
-    let outcome = run_gate(&ids, Scale::Quick, false, Some(&out), 1).expect("gate run");
+    let outcome =
+        run_gate(&SimCtx::new(), &ids, Scale::Quick, false, Some(&out), 1).expect("gate run");
     assert!(!outcome.updated);
     assert!(outcome.passed(), "fig19 drifted from the golden file");
     assert_eq!(outcome.figures.len(), 1);

@@ -7,11 +7,12 @@
 //!    seed (every draw goes through [`hpn_sim::rng::split_seed`], so a case
 //!    reproduces from its seed alone),
 //! 2. [`check_scenario`] runs the scenario through the simulator twice over
-//!    — a deterministic churn script against twin fluid networks (the
-//!    `DenseMaxMin` oracle vs the production `IncrementalMaxMin`) plus a
-//!    full `Scenario::build()` session — and checks a library of invariant
-//!    oracles: per-link capacity conservation, max-min bottleneck
-//!    optimality, bitwise dense/incremental equivalence, flow conservation
+//!    — a deterministic churn script against mirrored fluid networks (the
+//!    `DenseMaxMin` oracle vs the production `IncrementalMaxMin` vs the
+//!    memoized `SurrogateMaxMin`) plus a full `Scenario::build()` session —
+//!    and checks a library of invariant oracles: per-link capacity
+//!    conservation, max-min bottleneck optimality, bitwise
+//!    dense/incremental/surrogate equivalence, flow conservation
 //!    across fault inject/repair, sim-time monotonicity of the telemetry
 //!    stream, and metamorphic properties (scaling all capacities scales all
 //!    rates; appending idle links changes nothing),

@@ -557,7 +557,7 @@ fn build_faults(fabric: &Fabric, f: &FaultsSpec) -> Result<Vec<FaultEvent>, Scen
 impl Scenario {
     /// Build the scenario into a runnable [`Session`], or explain exactly
     /// which field makes it unbuildable. Uses the inert default context
-    /// (no telemetry, `HPN_ALLOCATOR` allocator); runs that record events
+    /// (no telemetry, incremental allocator); runs that record events
     /// or pin an allocator use [`Scenario::build_with`].
     pub fn build(&self) -> Result<Session, ScenarioError> {
         self.build_with(&SimCtx::default())
@@ -791,11 +791,11 @@ mod tests {
         let log = EventLog::new();
         let ctx = SimCtx::new()
             .with_recorder(SharedRecorder::new(Box::new(log.clone())))
-            .with_allocator(hpn_sim::AllocatorKind::Parallel);
+            .with_allocator(hpn_sim::AllocatorKind::Dense);
         let session = tiny().build_with(&ctx).expect("valid scenario");
         assert_eq!(
             session.cluster.net.allocator_kind(),
-            hpn_sim::AllocatorKind::Parallel
+            hpn_sim::AllocatorKind::Dense
         );
         assert_eq!(log.len(), 1, "SimStart marker through the ctx recorder");
         // The whole built session migrates to a worker thread.

@@ -106,10 +106,10 @@ impl ArtifactCache {
     /// Enable or disable cross-request surrogate-memo sharing. Warm memo
     /// hits change the surrogate allocator's hit/miss telemetry (the
     /// counters are honest about inherited state), so turning this on
-    /// trades cold-vs-warm byte identity under `HPN_ALLOCATOR=surrogate`
-    /// for faster repeat what-ifs. Rates themselves stay bitwise exact
-    /// either way — the canonical memo round-trips same-scale hits
-    /// exactly, and the online validator covers the rest.
+    /// trades cold-vs-warm byte identity under the surrogate allocator for
+    /// faster repeat what-ifs. Rates themselves stay bitwise exact either
+    /// way — the canonical memo caches exact rates and round-trips
+    /// same-scale hits exactly, and the online validator covers the rest.
     pub fn with_memo_sharing(mut self, on: bool) -> Self {
         self.share_memo = on;
         self

@@ -10,14 +10,10 @@
 //!   flow add/remove or link change, recomputes only the **connected
 //!   component** of flows and links reachable from the perturbed element
 //!   through shared links. Flows outside the component keep their rates
-//!   bitwise-unchanged.
-//! * [`ParallelIncrementalMaxMin`] — the incremental scoping, with the
-//!   perturbed closure re-partitioned into true connected components and
-//!   the components solved concurrently on the work-stealing pool
-//!   ([`crate::pool`]). Components are independent sub-problems, so the
-//!   parallel fill performs *exactly* the per-component arithmetic the
-//!   sequential solvers perform and its rates are bitwise-equal at any
-//!   worker count; results merge in deterministic component order.
+//!   bitwise-unchanged. The default.
+//! * [`crate::surrogate::SurrogateMaxMin`] — the incremental scoping with a
+//!   canonical-shape memo in front of the per-component fill: a miss runs
+//!   the exact fill and caches its rates, a same-scale hit replays them.
 //!
 //! The incremental scoping is exact, not approximate: max-min allocation
 //! decomposes across connected components of the flow↔link sharing graph.
@@ -29,13 +25,13 @@
 //! of a component flow is too, so the restricted fill sees exactly the
 //! sub-problem the global fill would solve for those flows.
 //!
-//! Both allocators solve through one `ComponentFill`: partition the flows
+//! All allocators solve through one `ComponentFill`: partition the flows
 //! at hand into connected components (union-find over links), fill each
 //! component independently, flows in ascending-id order. Interleaving the
 //! filling rounds across components would change float summation order and
-//! leave the two implementations agreeing only to ~ulp; identical
+//! leave the implementations agreeing only to ~ulp; identical
 //! per-component arithmetic makes their rates **bitwise equal**, so figures
-//! regenerate byte-identically under either allocator.
+//! regenerate byte-identically under any allocator.
 //!
 //! Every recompute records how much it touched in a
 //! [`crate::stats::RecomputeScope`], making the incremental win observable
@@ -55,29 +51,38 @@ pub enum AllocatorKind {
     /// Component-scoped recomputation (the default).
     #[default]
     Incremental,
-    /// Component-scoped recomputation with the perturbed components solved
-    /// concurrently on the work-stealing pool. Bitwise-equal to
-    /// [`AllocatorKind::Incremental`] at any worker count.
+    /// Alias of [`AllocatorKind::Incremental`], kept so callers that name
+    /// it still compile and run: [`AllocatorKind::build`] returns the
+    /// incremental allocator, and a net built from it reports
+    /// `Incremental`.
     Parallel,
-    /// Memoized surrogate fast path: canonical-component-shape → rates
-    /// cache with an analytic water-filling miss path, self-validated
-    /// against the exact solver every Nth prediction
+    /// Memoized fast path: canonical-component-shape → exact rates cache,
+    /// self-validated against the exact solver every Nth hit
     /// ([`crate::surrogate::SurrogateMaxMin`]).
     Surrogate,
 }
 
 impl AllocatorKind {
-    /// Resolve from the `HPN_ALLOCATOR` environment variable (`dense`,
-    /// `incremental`, `parallel` or `surrogate`), defaulting to
-    /// incremental. The experiment harness uses this to regenerate figures
-    /// under every allocator without threading a parameter through every
-    /// experiment.
-    pub fn from_env() -> Self {
-        match std::env::var("HPN_ALLOCATOR").as_deref() {
-            Ok("dense") => AllocatorKind::Dense,
-            Ok("parallel") => AllocatorKind::Parallel,
-            Ok("surrogate") => AllocatorKind::Surrogate,
-            _ => AllocatorKind::Incremental,
+    /// Parse a name as the experiment binary's `HPN_ALLOCATOR` accepts it
+    /// (`dense`, `incremental`, `surrogate`, or the `parallel` alias).
+    pub fn from_name(name: &str) -> Option<Self> {
+        match name {
+            "dense" => Some(AllocatorKind::Dense),
+            "incremental" => Some(AllocatorKind::Incremental),
+            "parallel" => Some(AllocatorKind::Parallel),
+            "surrogate" => Some(AllocatorKind::Surrogate),
+            _ => None,
+        }
+    }
+
+    /// The name of the allocator this kind builds, as manifests and
+    /// telemetry labels record it (the `parallel` alias reports
+    /// `incremental`, the allocator that actually runs).
+    pub fn name(self) -> &'static str {
+        match self {
+            AllocatorKind::Dense => "dense",
+            AllocatorKind::Incremental | AllocatorKind::Parallel => "incremental",
+            AllocatorKind::Surrogate => "surrogate",
         }
     }
 
@@ -85,9 +90,10 @@ impl AllocatorKind {
     pub fn build(self) -> Box<dyn RateAllocator> {
         match self {
             AllocatorKind::Dense => Box::new(DenseMaxMin::default()),
-            AllocatorKind::Incremental => Box::new(IncrementalMaxMin::default()),
-            AllocatorKind::Parallel => Box::new(ParallelIncrementalMaxMin::from_env()),
-            AllocatorKind::Surrogate => Box::new(crate::surrogate::SurrogateMaxMin::from_env()),
+            AllocatorKind::Incremental | AllocatorKind::Parallel => {
+                Box::new(IncrementalMaxMin::default())
+            }
+            AllocatorKind::Surrogate => Box::new(crate::surrogate::SurrogateMaxMin::default()),
         }
     }
 }
@@ -356,8 +362,8 @@ impl ComponentFill {
     /// sharing graph. Returns groups of indices into `flows`, components in
     /// first-seen (ascending smallest-flow-id) order, flow order preserved
     /// within each group. Deterministic: depends only on `flows` order and
-    /// the paths, never on thread scheduling.
-    pub(crate) fn partition(
+    /// the paths.
+    fn partition(
         &mut self,
         nlinks: usize,
         paths: &PathInterner,
@@ -391,21 +397,19 @@ impl ComponentFill {
         groups
     }
 
-    /// Fill each pre-partitioned group sequentially with shared scratch.
-    /// The per-group arithmetic is independent of the other groups (they
-    /// share no links), which is what lets [`ParallelIncrementalMaxMin`]
-    /// run the same groups concurrently and still match bitwise.
-    pub(crate) fn run_groups(
+    /// Partition `flows` and fill each component sequentially with shared
+    /// scratch. Returns rates per flow plus every link used.
+    fn run(
         &mut self,
         links: &[LinkState],
         paths: &PathInterner,
         flows: &[(crate::path::PathId, f64)],
-        groups: &[Vec<usize>],
     ) -> (Vec<f64>, Vec<usize>) {
+        let groups = self.partition(links.len(), paths, flows);
         let mut rate = vec![0.0f64; flows.len()];
         let mut all_links: Vec<usize> = Vec::new();
         let mut comp: Vec<(crate::path::PathId, f64)> = Vec::new();
-        for idxs in groups {
+        for idxs in &groups {
             comp.clear();
             comp.extend(idxs.iter().map(|&i| flows[i]));
             let (r, active) = Fill {
@@ -423,22 +427,11 @@ impl ComponentFill {
         (rate, all_links)
     }
 
-    fn run(
-        &mut self,
-        links: &[LinkState],
-        paths: &PathInterner,
-        flows: &[(crate::path::PathId, f64)],
-    ) -> (Vec<f64>, Vec<usize>) {
-        let groups = self.partition(links.len(), paths, flows);
-        self.run_groups(links, paths, flows, &groups)
-    }
-
     /// Fill one pre-isolated component (all `flows` share one true
     /// component) with this solver's scratch, returning its rates. This is
-    /// exactly the arithmetic one `run_groups` group performs — the
-    /// surrogate allocator's exact fallback and validation path route
-    /// through it so validated rates are bitwise-comparable to the
-    /// incremental solver's.
+    /// exactly the arithmetic one [`ComponentFill::run`] group performs —
+    /// the surrogate allocator's miss path and validator route through it,
+    /// so its rates are bitwise-equal to the incremental solver's.
     pub(crate) fn fill_component(
         &mut self,
         links: &[LinkState],
@@ -563,11 +556,11 @@ impl RateAllocator for DenseMaxMin {
 /// One closure problem row: `(flow id, path, demand_bps)`.
 pub(crate) type ProblemRow = (u64, crate::path::PathId, f64);
 
-/// Shared bookkeeping for the incremental allocators: per-link flow
+/// Shared bookkeeping for the component-scoped allocators: per-link flow
 /// membership, the dirty-seed list, and the BFS closure over the
 /// flow↔link sharing graph. [`IncrementalMaxMin`] and
-/// [`ParallelIncrementalMaxMin`] differ only in how they *solve* the
-/// closure this core computes.
+/// [`crate::surrogate::SurrogateMaxMin`] differ only in how they *solve*
+/// the closure this core computes.
 #[derive(Default)]
 pub(crate) struct IncrementalCore {
     /// Per link: `(flow id, path, demand)` of flows crossing it, with
@@ -732,29 +725,6 @@ impl IncrementalCore {
     }
 }
 
-/// Write solved rates back and refresh aggregates/hot set/scope for one
-/// incremental recompute. `rows` are the closure's `(id, path, demand)`
-/// rows and `flows` the matching `(path, demand)` problem, both indexed
-/// alike with `rate`. Shared tail of both incremental allocators, so their
-/// observable effects (including `RecomputeScope` counters) match.
-pub(crate) fn finish_incremental_recompute(
-    ctx: &mut AllocCtx<'_>,
-    rows: &[(u64, crate::path::PathId, f64)],
-    mut comp_links: Vec<usize>,
-    flows: &[(crate::path::PathId, f64)],
-    rate: &[f64],
-    total_flows: usize,
-) {
-    ctx.flows
-        .set_rates_ascending(rows.iter().map(|&(id, _, _)| id), rate);
-    // Aggregates refresh over ALL component links — including seeds
-    // whose last flow just left, which must read as idle again.
-    comp_links.sort_unstable();
-    refresh_link_aggregates_rows(ctx, &comp_links, flows, rate);
-    refresh_hot(ctx, &comp_links);
-    ctx.scope.record(rows.len(), comp_links.len(), total_flows);
-}
-
 /// Component-scoped max-min: recomputes only flows/links reachable from
 /// the perturbed element through shared links.
 ///
@@ -797,164 +767,21 @@ impl RateAllocator for IncrementalMaxMin {
             ctx.scope.record(0, 0, total_flows);
             return;
         }
-        let (rows, comp_links) = self.core.closure(ctx.paths);
+        let (rows, mut comp_links) = self.core.closure(ctx.paths);
         let flows: Vec<(crate::path::PathId, f64)> = rows.iter().map(|&(_, p, d)| (p, d)).collect();
         // The BFS set may span several true components (e.g. seeds in two
         // unrelated components batched into one recompute, or a removed
         // flow that had bridged two); ComponentFill re-partitions so each
         // is filled with the exact arithmetic the dense solver uses.
         let (rate, _active) = self.solver.run(ctx.links, ctx.paths, &flows);
-        finish_incremental_recompute(ctx, &rows, comp_links, &flows, &rate, total_flows);
-    }
-}
-
-/// Minimum perturbed-closure size (in flows) before
-/// [`ParallelIncrementalMaxMin`] spawns pool workers. Below this the
-/// sequential fill is faster than thread handoff.
-const PAR_MIN_FLOWS: usize = 256;
-
-/// [`IncrementalMaxMin`]'s scoping with the perturbed closure's connected
-/// components solved concurrently on [`crate::pool`].
-///
-/// The recompute pipeline is: BFS closure (shared `IncrementalCore`) →
-/// partition into true components (shared `ComponentFill::partition`) →
-/// one `Fill` per component on the pool, each worker reusing its own
-/// scratch → merge rates **in component order**, not completion order.
-/// Components share no links, so each fill sees exactly the operands the
-/// sequential solver would feed it and the merged rates are bitwise-equal
-/// to [`IncrementalMaxMin`] at any worker count.
-///
-/// Small recomputes (a single component, or fewer than the configured
-/// minimum flows) take the sequential path outright: one churn event
-/// usually perturbs one component, and spawning a scoped pool for a
-/// sub-100µs solve would cost more than it saves. The parallel path pays
-/// off when many components are perturbed in one batch — link flaps under
-/// ECMP, job-wide teardown, or batched collective chunk launches.
-pub struct ParallelIncrementalMaxMin {
-    core: IncrementalCore,
-    solver: ComponentFill,
-    jobs: usize,
-    min_flows: usize,
-}
-
-impl Default for ParallelIncrementalMaxMin {
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
-
-impl ParallelIncrementalMaxMin {
-    /// Worker count from `HPN_ALLOC_JOBS` if set, else the machine's
-    /// available parallelism. Any count yields identical rates; the env
-    /// knob exists for benchmarking and CI pinning.
-    pub fn from_env() -> Self {
-        let jobs = std::env::var("HPN_ALLOC_JOBS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        Self::with_jobs(jobs)
-    }
-
-    /// An allocator with an explicit worker count.
-    pub fn with_jobs(jobs: usize) -> Self {
-        ParallelIncrementalMaxMin {
-            core: IncrementalCore::default(),
-            solver: ComponentFill::default(),
-            jobs: jobs.max(1),
-            min_flows: PAR_MIN_FLOWS,
-        }
-    }
-
-    /// Override the minimum closure size that triggers the parallel path.
-    /// Tests and the fuzz oracles drop this to 0 so tiny nets still
-    /// exercise pool solving; production code should keep the default.
-    pub fn min_component_flows(mut self, min_flows: usize) -> Self {
-        self.min_flows = min_flows;
-        self
-    }
-
-    /// The configured worker count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-}
-
-impl RateAllocator for ParallelIncrementalMaxMin {
-    fn kind(&self) -> AllocatorKind {
-        AllocatorKind::Parallel
-    }
-
-    fn on_link_added(&mut self, _link: LinkId) {
-        self.core.on_link_added();
-    }
-
-    fn on_flow_added(&mut self, id: u64, spec: &FlowSpec, path: &[LinkId]) {
-        self.core.on_flow_added(id, spec, path);
-    }
-
-    fn on_flow_removed(&mut self, id: u64, path: &[LinkId]) {
-        self.core.on_flow_removed(id, path);
-    }
-
-    fn on_link_changed(&mut self, link: LinkId) {
-        self.core.on_link_changed(link);
-    }
-
-    fn recompute(&mut self, ctx: &mut AllocCtx<'_>) {
-        let total_flows = ctx.flows.len();
-        if self.core.is_clean() {
-            ctx.scope.record(0, 0, total_flows);
-            return;
-        }
-        let (rows, comp_links) = self.core.closure(ctx.paths);
-        let flows: Vec<(crate::path::PathId, f64)> = rows.iter().map(|&(_, p, d)| (p, d)).collect();
-        let groups = self.solver.partition(ctx.links.len(), ctx.paths, &flows);
-
-        let rate: Vec<f64> = if self.jobs < 2 || groups.len() < 2 || rows.len() < self.min_flows {
-            // Sequential fallback: literally the incremental solver's path.
-            self.solver
-                .run_groups(ctx.links, ctx.paths, &flows, &groups)
-                .0
-        } else {
-            // One fill task per component. Workers borrow the link table
-            // and path interner (read-only) and keep private fill scratch;
-            // results come back indexed by component, so the merge below
-            // is in partition order — identical to the sequential loop.
-            let links: &[LinkState] = ctx.links;
-            let paths: &PathInterner = ctx.paths;
-            let problems: Vec<Vec<(crate::path::PathId, f64)>> = groups
-                .iter()
-                .map(|idxs| idxs.iter().map(|&i| flows[i]).collect())
-                .collect();
-            let solved = crate::pool::run_indexed_with(
-                self.jobs,
-                problems,
-                || (Vec::<f64>::new(), Vec::<u32>::new()),
-                |scratch, _gi, comp| {
-                    let (free, unfrozen_on) = scratch;
-                    Fill {
-                        links,
-                        paths,
-                        free,
-                        unfrozen_on,
-                    }
-                    .run(&comp)
-                    .0
-                },
-            );
-            let mut rate = vec![0.0f64; flows.len()];
-            for (idxs, group_rates) in groups.iter().zip(solved) {
-                for (&i, ri) in idxs.iter().zip(group_rates) {
-                    rate[i] = ri;
-                }
-            }
-            rate
-        };
-        finish_incremental_recompute(ctx, &rows, comp_links, &flows, &rate, total_flows);
+        ctx.flows
+            .set_rates_ascending(rows.iter().map(|&(id, _, _)| id), &rate);
+        // Aggregates refresh over ALL component links — including seeds
+        // whose last flow just left, which must read as idle again.
+        comp_links.sort_unstable();
+        refresh_link_aggregates_rows(ctx, &comp_links, &flows, &rate);
+        refresh_hot(ctx, &comp_links);
+        ctx.scope.record(rows.len(), comp_links.len(), total_flows);
     }
 }
 
@@ -1024,8 +851,9 @@ pub(crate) mod tests {
             AllocatorKind::Incremental
         );
         assert_eq!(
-            ParallelIncrementalMaxMin::with_jobs(3).kind(),
-            AllocatorKind::Parallel
+            AllocatorKind::Parallel.build().kind(),
+            AllocatorKind::Incremental,
+            "the parallel alias builds the incremental allocator"
         );
         assert_eq!(
             crate::surrogate::SurrogateMaxMin::default().kind(),
@@ -1092,36 +920,25 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn parallel_is_bitwise_equal_to_incremental_at_any_worker_count() {
+    fn incremental_is_bitwise_equal_to_dense_under_churn() {
         let reference = churn_rate_bits(Box::new(IncrementalMaxMin::default()), 9, 12);
         let dense = churn_rate_bits(Box::new(DenseMaxMin::default()), 9, 12);
         assert_eq!(reference, dense, "incremental vs dense");
-        for jobs in [1, 2, 4, 8] {
-            // min_component_flows(0) forces the pool path even on this
-            // small net (the closure is well under PAR_MIN_FLOWS).
-            let par = churn_rate_bits(
-                Box::new(ParallelIncrementalMaxMin::with_jobs(jobs).min_component_flows(0)),
-                9,
-                12,
-            );
-            assert_eq!(reference, par, "parallel(jobs={jobs}) vs incremental");
-        }
     }
 
     #[test]
-    fn parallel_scopes_like_incremental() {
-        // The parallel allocator inherits the incremental closure, so its
-        // RecomputeScope counters match IncrementalMaxMin's exactly.
-        let (mut net, hs) = two_component_net(AllocatorKind::Parallel);
-        assert_eq!(net.allocator_kind(), AllocatorKind::Parallel);
-        let before = net.alloc_scope();
-        net.kill_flow(SimTime::ZERO, hs[0]);
-        net.recompute_if_dirty();
-        let d = net.alloc_scope().since(&before);
-        assert_eq!(d.events, 1);
-        assert_eq!(d.flows_touched, 1, "only the surviving flow on link a");
-        assert_eq!(d.links_touched, 1);
-        assert_eq!(net.flow_rate(hs[1]), Some(100.0 * GBPS));
-        assert_eq!(net.flow_rate(hs[2]), Some(100.0 * GBPS));
+    fn names_round_trip() {
+        for kind in [
+            AllocatorKind::Dense,
+            AllocatorKind::Incremental,
+            AllocatorKind::Surrogate,
+        ] {
+            assert_eq!(AllocatorKind::from_name(kind.name()), Some(kind));
+        }
+        assert_eq!(
+            AllocatorKind::from_name("parallel").map(AllocatorKind::name),
+            Some("incremental")
+        );
+        assert_eq!(AllocatorKind::from_name("bogus"), None);
     }
 }

@@ -178,10 +178,9 @@ impl Default for FlowNet {
 
 impl FlowNet {
     /// An empty network at time zero, using the default allocator
-    /// ([`AllocatorKind::Incremental`], overridable via the `HPN_ALLOCATOR`
-    /// environment variable — see [`AllocatorKind::from_env`]).
+    /// ([`AllocatorKind::Incremental`]).
     pub fn new() -> Self {
-        Self::with_allocator(AllocatorKind::from_env())
+        Self::with_allocator(AllocatorKind::default())
     }
 
     /// An empty network using the given rate allocator.
@@ -1037,7 +1036,6 @@ mod tests {
         for kind in [
             AllocatorKind::Dense,
             AllocatorKind::Incremental,
-            AllocatorKind::Parallel,
             AllocatorKind::Surrogate,
         ] {
             let mut net = FlowNet::with_allocator(kind);

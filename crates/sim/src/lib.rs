@@ -13,13 +13,10 @@
 //!   [`RateAllocator`] trait: the default [`alloc::IncrementalMaxMin`]
 //!   recomputes only the perturbed bottleneck component per event, while
 //!   [`alloc::DenseMaxMin`] re-solves every flow and serves as the oracle,
-//!   and [`alloc::ParallelIncrementalMaxMin`] re-solves perturbed
-//!   components concurrently on the [`pool`] with bitwise-identical rates.
+//!   and [`SurrogateMaxMin`] memoizes exact per-component rates by
+//!   canonical shape.
 //!   Flow paths are interned ([`PathId`]/[`PathInterner`]) so specs carry a
 //!   4-byte handle instead of a link vector,
-//! * [`pool`] — a minimal work-stealing thread pool (deterministic,
-//!   task-order-indexed results) shared by the parallel allocator and the
-//!   experiment runner,
 //! * [`SplitMix64`] / [`Xoshiro256`] — small, dependency-free deterministic
 //!   PRNGs so simulation runs are exactly reproducible from a seed,
 //! * [`TimeSeries`] and [`stats`] — recording utilities used by the
@@ -46,7 +43,6 @@ pub mod flownet;
 mod fxhash;
 pub mod packetval;
 pub mod path;
-pub mod pool;
 pub mod probe;
 pub mod rng;
 pub mod series;
@@ -57,7 +53,7 @@ pub mod tail;
 pub mod time;
 pub mod units;
 
-pub use alloc::{AllocatorKind, ParallelIncrementalMaxMin, RateAllocator};
+pub use alloc::{AllocatorKind, RateAllocator};
 pub use arena::{Flow, FlowArena};
 pub use engine::{Engine, EventId};
 pub use flownet::{FlowHandle, FlowNet, FlowSpec, LinkId, LinkState};

@@ -8,8 +8,8 @@
 //! * **Where does randomness come from?** An optional root seed, split
 //!   per call site with [`hpn_sim::split_seed`] (replaces the experiment
 //!   harness's thread-local `SweepScope`).
-//! * **Which rate allocator runs?** An [`AllocatorKind`] (previously read
-//!   from the environment deep inside `FlowNet::new`).
+//! * **Which rate allocator runs?** An [`AllocatorKind`] plus the
+//!   surrogate allocator's validation cadence.
 //!
 //! A `SimCtx` is constructed once per session — by the experiment runner
 //! for each cell, by a test for itself — and threaded **explicitly**
@@ -20,10 +20,11 @@
 //! worker thread (static assertions in the transport and scenario crates
 //! hold this invariant).
 //!
-//! The default context is inert and environment-compatible: null recorder,
-//! no root seed (call sites fall back to their fixed per-site seeds), and
-//! the allocator the `HPN_ALLOCATOR` variable names. `SimCtx::default()`
-//! therefore behaves exactly like the old ambient defaults.
+//! The default context is inert: null recorder, no root seed (call sites
+//! fall back to their fixed per-site seeds), the incremental allocator and
+//! validation cadence 64. Library crates read no environment; the
+//! `hpn-experiments` binary parses `HPN_ALLOCATOR` and `--validate-every`
+//! once into a base context that every cell derives from.
 
 use hpn_sim::{split_seed, AllocatorKind};
 
@@ -40,19 +41,14 @@ pub struct SimCtx {
 }
 
 impl Default for SimCtx {
-    /// Null recorder, no sweep root, allocator from `HPN_ALLOCATOR`,
-    /// surrogate validation cadence from `HPN_SURROGATE_VALIDATE_EVERY`
-    /// (default 64) — the exact behaviour sessions got from the old
-    /// ambient defaults.
+    /// Null recorder, no sweep root, the default (incremental) allocator
+    /// and the surrogate's default validation cadence (64).
     fn default() -> Self {
         SimCtx {
             recorder: SharedRecorder::null(),
             root_seed: None,
-            allocator: AllocatorKind::from_env(),
-            validate_every: std::env::var("HPN_SURROGATE_VALIDATE_EVERY")
-                .ok()
-                .and_then(|v| v.parse::<u32>().ok())
-                .unwrap_or(64),
+            allocator: AllocatorKind::default(),
+            validate_every: hpn_sim::SurrogateConfig::default().validate_every,
         }
     }
 }
@@ -77,16 +73,16 @@ impl SimCtx {
         self
     }
 
-    /// Pin the rate allocator (instead of the `HPN_ALLOCATOR` default).
+    /// Pin the rate allocator (instead of the incremental default).
     pub fn with_allocator(mut self, allocator: AllocatorKind) -> Self {
         self.allocator = allocator;
         self
     }
 
     /// Pin the surrogate allocator's online-validation cadence (validate
-    /// every Nth prediction; `0` = never, `1` = always) instead of the
-    /// `HPN_SURROGATE_VALIDATE_EVERY` default. Only meaningful when the
-    /// allocator is [`AllocatorKind::Surrogate`].
+    /// every Nth cache hit; `0` = never, `1` = always) instead of the
+    /// default 64. Only meaningful when the allocator is
+    /// [`AllocatorKind::Surrogate`].
     pub fn with_validate_every(mut self, every: u32) -> Self {
         self.validate_every = every;
         self
@@ -142,6 +138,8 @@ mod tests {
         let ctx = SimCtx::new();
         assert!(!ctx.recorder().enabled());
         assert_eq!(ctx.root_seed(), None);
+        assert_eq!(ctx.allocator(), AllocatorKind::Incremental);
+        assert_eq!(ctx.validate_every(), 64);
         // No root: call sites keep their fixed seeds.
         assert_eq!(ctx.seed_for(42), 42);
     }
@@ -172,9 +170,11 @@ mod tests {
                 buf.clone(),
             ))))
             .with_root_seed(3)
-            .with_allocator(AllocatorKind::Parallel);
+            .with_allocator(AllocatorKind::Surrogate)
+            .with_validate_every(1);
         assert!(ctx.recorder().enabled());
-        assert_eq!(ctx.allocator(), AllocatorKind::Parallel);
+        assert_eq!(ctx.allocator(), AllocatorKind::Surrogate);
+        assert_eq!(ctx.validate_every(), 1);
         let clone = ctx.clone();
         clone
             .recorder()

@@ -137,17 +137,17 @@ pub enum Event {
         target: u32,
     },
     /// The surrogate allocator's cache activity during one rate recompute
-    /// (deltas of that recompute). Named for the miss counter it carries;
-    /// fired whenever the surrogate served lookups, hits included, so the
-    /// registry can account hit/miss/validation rates.
-    SurrogateMiss {
+    /// (deltas of that recompute). Fired whenever the surrogate served
+    /// lookups, hits included, so the registry can account
+    /// hit/miss/validation rates.
+    SurrogateCache {
         /// Simulated time in nanoseconds.
         t_ns: u64,
         /// Component predictions served in this recompute.
         lookups: u64,
-        /// Predictions that missed the cache (analytic-surrogate solves).
+        /// Predictions that missed the cache (exact-fill solves).
         misses: u64,
-        /// Predictions re-solved exactly for online validation.
+        /// Cache hits re-solved exactly for online validation.
         validations: u64,
     },
     /// An online validation caught the surrogate disagreeing bitwise with
@@ -178,7 +178,7 @@ impl Event {
             | Event::CollectiveStep { t_ns, .. }
             | Event::FaultInject { t_ns, .. }
             | Event::FaultRepair { t_ns, .. }
-            | Event::SurrogateMiss { t_ns, .. }
+            | Event::SurrogateCache { t_ns, .. }
             | Event::SurrogateMismatch { t_ns, .. } => t_ns,
         }
     }
@@ -204,7 +204,7 @@ impl Event {
             Event::CollectiveStep { .. } => "collective_step",
             Event::FaultInject { .. } => "fault_inject",
             Event::FaultRepair { .. } => "fault_repair",
-            Event::SurrogateMiss { .. } => "surrogate_miss",
+            Event::SurrogateCache { .. } => "surrogate_cache",
             Event::SurrogateMismatch { .. } => "surrogate_mismatch",
         }
     }
@@ -299,7 +299,7 @@ impl Event {
                 push_t(&mut s, *t_ns);
                 s.push_str(&format!(",\"kind\":\"{kind}\",\"target\":{target}"));
             }
-            Event::SurrogateMiss {
+            Event::SurrogateCache {
                 t_ns,
                 lookups,
                 misses,

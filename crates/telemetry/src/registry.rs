@@ -97,14 +97,14 @@ pub struct RecomputeMetrics {
 }
 
 /// Aggregated surrogate-allocator cache counters (the telemetry view of
-/// [`Event::SurrogateMiss`] / [`Event::SurrogateMismatch`]).
+/// [`Event::SurrogateCache`] / [`Event::SurrogateMismatch`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SurrogateMetrics {
     /// Component predictions served by the surrogate allocator.
     pub lookups: u64,
     /// Predictions that missed the memo cache.
     pub misses: u64,
-    /// Predictions re-solved exactly for online validation.
+    /// Cache hits re-solved exactly for online validation.
     pub validations: u64,
     /// Validations where the surrogate disagreed bitwise with the exact
     /// solver (each one evicted a cache entry and fell back to exact).
@@ -224,7 +224,7 @@ impl Registry {
             Event::LinkState { link, .. } => {
                 self.links.entry(link).or_default().state_changes += 1;
             }
-            Event::SurrogateMiss {
+            Event::SurrogateCache {
                 lookups,
                 misses,
                 validations,
@@ -815,19 +815,19 @@ mod tests {
         );
         // Three recomputes: 4 lookups / 1 miss, 2 lookups / 0 misses with
         // one validation, then 2 lookups / 1 miss with a mismatch.
-        r.observe(&Event::SurrogateMiss {
+        r.observe(&Event::SurrogateCache {
             t_ns: 0,
             lookups: 4,
             misses: 1,
             validations: 0,
         });
-        r.observe(&Event::SurrogateMiss {
+        r.observe(&Event::SurrogateCache {
             t_ns: 1,
             lookups: 2,
             misses: 0,
             validations: 1,
         });
-        r.observe(&Event::SurrogateMiss {
+        r.observe(&Event::SurrogateCache {
             t_ns: 2,
             lookups: 2,
             misses: 1,
@@ -845,7 +845,7 @@ mod tests {
         assert_eq!(s.mismatches, 1);
         assert_eq!(s.hit_rate(), 0.75);
         assert_eq!(s.validation_rate(), 0.25);
-        assert_eq!(r.count("surrogate_miss"), 3);
+        assert_eq!(r.count("surrogate_cache"), 3);
         assert_eq!(r.count("surrogate_mismatch"), 1);
         let json = r.summary_json();
         assert!(

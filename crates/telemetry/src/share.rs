@@ -141,7 +141,7 @@ impl NetProbe for ProbeAdapter {
         mismatches: u64,
     ) {
         if lookups > 0 {
-            self.0.emit(|| Event::SurrogateMiss {
+            self.0.emit(|| Event::SurrogateCache {
                 t_ns: t.as_nanos(),
                 lookups,
                 misses,
@@ -198,7 +198,7 @@ mod tests {
         probe.link_state(SimTime::from_nanos(8), 9, false);
         // Quiet recompute (no lookups, no mismatches): emits nothing.
         probe.surrogate_cache(SimTime::from_nanos(9), 0, 0, 0, 0);
-        // Lookups without mismatches: one SurrogateMiss event.
+        // Lookups without mismatches: one SurrogateCache event.
         probe.surrogate_cache(SimTime::from_nanos(10), 4, 1, 2, 0);
         // A mismatch rides along with its lookups: both events.
         probe.surrogate_cache(SimTime::from_nanos(11), 2, 0, 2, 1);
@@ -218,8 +218,8 @@ mod tests {
                 "rate_recompute",
                 "flow_remove",
                 "link_state",
-                "surrogate_miss",
-                "surrogate_miss",
+                "surrogate_cache",
+                "surrogate_cache",
                 "surrogate_mismatch"
             ]
         );

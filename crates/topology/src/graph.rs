@@ -252,11 +252,11 @@ impl Network {
     }
 
     /// Materialise this graph as a fluid network. Link indices are
-    /// preserved: `LinkIdx(i)` becomes `LinkId(i)`. Uses the environment's
-    /// default allocator; sessions with an explicit context use
+    /// preserved: `LinkIdx(i)` becomes `LinkId(i)`. Uses the default
+    /// (incremental) allocator; sessions with an explicit context use
     /// [`Network::to_flownet_with`].
     pub fn to_flownet(&self) -> FlowNet {
-        self.to_flownet_with(hpn_sim::AllocatorKind::from_env())
+        self.to_flownet_with(hpn_sim::AllocatorKind::default())
     }
 
     /// Materialise this graph as a fluid network running the given rate

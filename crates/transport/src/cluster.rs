@@ -146,7 +146,7 @@ pub struct ClusterSim {
 
 impl ClusterSim {
     /// Build a runtime over a fabric with the inert default context: no
-    /// telemetry, allocator from `HPN_ALLOCATOR`. Shorthand for
+    /// telemetry, the incremental allocator. Shorthand for
     /// [`ClusterSim::with_ctx`] with `&SimCtx::default()` — sessions that
     /// record telemetry or pin an allocator build one explicitly.
     pub fn new(fabric: Fabric, mode: HashMode) -> Self {
@@ -796,9 +796,9 @@ mod tests {
         let log = EventLog::new();
         let ctx = SimCtx::new()
             .with_recorder(SharedRecorder::new(Box::new(log.clone())))
-            .with_allocator(hpn_sim::AllocatorKind::Parallel);
+            .with_allocator(hpn_sim::AllocatorKind::Dense);
         let cs = ClusterSim::with_ctx(HpnConfig::tiny().build(), HashMode::Polarized, &ctx);
-        assert_eq!(cs.net.allocator_kind(), hpn_sim::AllocatorKind::Parallel);
+        assert_eq!(cs.net.allocator_kind(), hpn_sim::AllocatorKind::Dense);
         assert_eq!(log.len(), 1, "SimStart segment marker emitted");
         // The runtime itself can migrate to a worker thread.
         let moved = std::thread::spawn(move || cs.now()).join().expect("worker");

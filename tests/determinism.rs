@@ -18,13 +18,13 @@ use std::path::{Path, PathBuf};
 use hpn::telemetry::hex_digest;
 use hpn_bench::gate::{run_gate, FigureStatus, GATE_FIGURES};
 use hpn_bench::runner::{run_plan, variance_json, write_sweep_outputs, RunPlan};
-use hpn_bench::Scale;
+use hpn_bench::{Scale, SimCtx};
 
 mod parallel_allocator {
-    //! The parallel allocator's worker count may only change wall-clock,
-    //! never a byte: a session using [`AllocatorKind::Parallel`] must
-    //! produce bitwise-identical telemetry and iteration timings whether
-    //! the component pool runs 1 worker or 8.
+    //! [`AllocatorKind::Parallel`] is an alias of the incremental
+    //! allocator: a session selecting it must produce bitwise-identical
+    //! telemetry and iteration timings to one selecting
+    //! [`AllocatorKind::Incremental`].
 
     use hpn::collectives::CommConfig;
     use hpn::core::{placement, TrainingSession};
@@ -35,19 +35,15 @@ mod parallel_allocator {
     use hpn::transport::ClusterSim;
     use hpn::workload::{ModelSpec, ParallelismPlan, TrainingJob};
 
-    fn session_fingerprint(jobs: &str) -> (Vec<u64>, String) {
-        // `HPN_ALLOC_JOBS` pins the pool size the parallel allocator
-        // spawns. Nothing else in this test binary reads the variable
-        // (figure runs stay on the dense default), so setting it here is
-        // safe under parallel test threads.
-        std::env::set_var("HPN_ALLOC_JOBS", jobs);
+    fn session_fingerprint(kind: AllocatorKind) -> (Vec<u64>, String) {
         let buf = SharedBuf::new();
         let ctx = SimCtx::new()
             .with_recorder(SharedRecorder::new(Box::new(JsonlRecorder::new(
                 buf.clone(),
             ))))
-            .with_allocator(AllocatorKind::Parallel);
+            .with_allocator(kind);
         let mut cs = ClusterSim::with_ctx(HpnConfig::medium().build(), HashMode::Polarized, &ctx);
+        assert_eq!(cs.net.allocator_kind(), AllocatorKind::Incremental);
         let rails = cs.fabric.host_params.rails;
         let hosts = placement::place_segment_first(&cs.fabric, 8).unwrap();
         let job = TrainingJob::new(
@@ -59,25 +55,24 @@ mod parallel_allocator {
         );
         let mut session = TrainingSession::new(job, CommConfig::hpn_default());
         session.run_iterations(&mut cs, 3);
-        std::env::remove_var("HPN_ALLOC_JOBS");
         let nanos = session.records().iter().map(|r| r.end.as_nanos()).collect();
         (nanos, buf.text())
     }
 
     #[test]
-    fn parallel_allocator_session_is_byte_identical_at_jobs_1_and_8() {
-        let (nanos_1, telemetry_1) = session_fingerprint("1");
-        let (nanos_8, telemetry_8) = session_fingerprint("8");
+    fn parallel_alias_is_byte_identical_to_incremental() {
+        let (nanos_incr, telemetry_incr) = session_fingerprint(AllocatorKind::Incremental);
+        let (nanos_par, telemetry_par) = session_fingerprint(AllocatorKind::Parallel);
         assert_eq!(
-            nanos_1, nanos_8,
-            "iteration timings drifted with the allocator worker count"
+            nanos_incr, nanos_par,
+            "iteration timings drifted between incremental and its parallel alias"
         );
         assert_eq!(
-            telemetry_1, telemetry_8,
-            "telemetry stream is not byte-identical between 1 and 8 workers"
+            telemetry_incr, telemetry_par,
+            "telemetry stream is not byte-identical under the parallel alias"
         );
         assert!(
-            telemetry_1.contains("\"ev\":\"rate_recompute\""),
+            telemetry_incr.contains("\"ev\":\"rate_recompute\""),
             "session never exercised the rate allocator"
         );
     }
@@ -85,10 +80,9 @@ mod parallel_allocator {
 
 mod surrogate_allocator {
     //! The memoized surrogate allocator's determinism contract: a
-    //! surrogate session is byte-reproducible run-to-run, indifferent to
-    //! the component pool's worker count (it never uses the pool), and at
-    //! validation cadence 1 its iteration timings match the incremental
-    //! reference exactly.
+    //! surrogate session is byte-reproducible run-to-run, and its iteration
+    //! timings match the incremental reference exactly — at validation
+    //! cadence 1 and at the default cadence, with zero mismatches.
 
     use hpn::collectives::CommConfig;
     use hpn::core::{placement, TrainingSession};
@@ -99,9 +93,7 @@ mod surrogate_allocator {
     use hpn::transport::ClusterSim;
     use hpn::workload::{ModelSpec, ParallelismPlan, TrainingJob};
 
-    /// Run one medium-fabric training session under an explicit context —
-    /// no `HPN_ALLOCATOR` environment writes, so this is safe under
-    /// parallel test threads.
+    /// Run one medium-fabric training session under an explicit context.
     fn session_fingerprint(kind: AllocatorKind, validate_every: u32) -> (Vec<u64>, String) {
         let buf = SharedBuf::new();
         let ctx = SimCtx::new()
@@ -147,7 +139,7 @@ mod surrogate_allocator {
         // flow rates — and therefore completion times and iteration
         // timings — must match the incremental reference bit for bit.
         // (The telemetry text differs: surrogate sessions emit extra
-        // surrogate_miss events.)
+        // surrogate_cache events.)
         let (nanos_incr, _) = session_fingerprint(AllocatorKind::Incremental, 0);
         let (nanos_surr, telemetry_surr) = session_fingerprint(AllocatorKind::Surrogate, 1);
         assert_eq!(
@@ -155,8 +147,24 @@ mod surrogate_allocator {
             "surrogate at cadence 1 drifted from the incremental reference"
         );
         assert!(
-            telemetry_surr.contains("\"ev\":\"surrogate_miss\""),
+            telemetry_surr.contains("\"ev\":\"surrogate_cache\""),
             "surrogate session emitted no cache telemetry"
+        );
+    }
+
+    #[test]
+    fn surrogate_at_default_cadence_times_like_incremental() {
+        // Misses run the exact fill and hits replay it, so even with most
+        // hits unvalidated the rates — and the timings — stay bitwise.
+        let (nanos_incr, _) = session_fingerprint(AllocatorKind::Incremental, 0);
+        let (nanos_surr, telemetry_surr) = session_fingerprint(AllocatorKind::Surrogate, 64);
+        assert_eq!(
+            nanos_incr, nanos_surr,
+            "surrogate at the default cadence drifted from the incremental reference"
+        );
+        assert!(
+            !telemetry_surr.contains("\"ev\":\"surrogate_mismatch\""),
+            "a validation caught the surrogate disagreeing with the exact fill"
         );
     }
 }
@@ -204,7 +212,6 @@ fn workload_kind_examples_are_byte_identical_at_jobs_1_and_8() {
     // may only change wall-clock, never a byte of manifest or telemetry.
     use hpn_bench::runner::{run_cells, Cell, RunPlan};
     use hpn_bench::scenario_cli::{self, LatencyMode};
-    use hpn_bench::SimCtx;
 
     let files = [
         "moe_a2a.toml",
@@ -239,7 +246,7 @@ fn workload_kind_examples_are_byte_identical_at_jobs_1_and_8() {
                 })
             })
             .collect();
-        let results = run_cells(tasks, Scale::Quick, jobs);
+        let results = run_cells(&SimCtx::new(), tasks, Scale::Quick, jobs);
         let plan = RunPlan {
             figures: labels,
             seeds: vec![None],
@@ -265,7 +272,7 @@ fn quick_subset_parallel_matches_sequential_byte_for_byte() {
     let mut reports = Vec::new();
     for (label, jobs) in [("jobs1", 1usize), ("jobs4-a", 4), ("jobs4-b", 4)] {
         let dir = tmp_dir(&format!("determinism-subset-{label}"));
-        let results = run_plan(&plan, jobs);
+        let results = run_plan(&SimCtx::new(), &plan, jobs);
         let manifests = write_sweep_outputs(&plan, &results, Some(&dir)).expect("write outputs");
         assert_eq!(manifests.len(), 2, "one manifest per sweep seed");
         trees.push(dir_bytes(&dir));
@@ -290,7 +297,8 @@ fn full_gate_is_byte_identical_at_jobs_1_and_8() {
     let mut manifest_shas = Vec::new();
     for (label, jobs) in [("jobs1", 1usize), ("jobs8-a", 8), ("jobs8-b", 8)] {
         let dir = tmp_dir(&format!("determinism-gate-{label}"));
-        let outcome = run_gate(&ids, Scale::Quick, false, Some(&dir), jobs).expect("gate run");
+        let outcome = run_gate(&SimCtx::new(), &ids, Scale::Quick, false, Some(&dir), jobs)
+            .expect("gate run");
         assert!(!outcome.updated);
         // Byte-identity alone is not enough — every run must also match the
         // *checked-in* goldens, so parallelism can't hide a joint drift.
