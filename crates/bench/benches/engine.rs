@@ -64,9 +64,6 @@ fn bench_allocator_churn(c: &mut Criterion) {
         ("incremental", || {
             FlowNet::with_allocator(AllocatorKind::Incremental)
         }),
-        ("surrogate", || {
-            FlowNet::with_allocator(AllocatorKind::Surrogate)
-        }),
     ];
     let mut group = c.benchmark_group("allocator");
     for &(name, make_net) in variants {
@@ -140,77 +137,66 @@ fn bench_allocator_churn(c: &mut Criterion) {
     // components (n/8 flows each, all-distinct demands). With 2048 flows
     // per component the exact progressive fill runs ~2048 freeze rounds
     // per recompute — the regime of a full collective's flows sharing one
-    // bottleneck set — so this is where a memoized solve should pay off,
-    // while the pod geometry above measures the bookkeeping-bound regime.
+    // bottleneck set — while the pod geometry above measures the
+    // bookkeeping-bound regime.
     const NCOMP: usize = 8;
     const COMP_LINKS: usize = 64;
-    let collective: &[(&str, MakeNet)] = &[
-        ("incremental_collective", || {
-            FlowNet::with_allocator(AllocatorKind::Incremental)
-        }),
-        ("surrogate_collective", || {
-            FlowNet::with_allocator(AllocatorKind::Surrogate)
-        }),
-    ];
-    for &(name, make_net) in collective {
-        {
-            let n = 16384usize;
-            group.bench_with_input(BenchmarkId::new(name, n), &n, |b, &n| {
-                let mut net = make_net();
-                let links: Vec<_> = (0..NCOMP * COMP_LINKS)
-                    .map(|_| net.add_link(4e12, 1e7))
-                    .collect();
-                // Slot i lives in component (i % NCOMP); consecutive slots
-                // churn distinct components, like the pod bench. Distinct
-                // demands per in-component slot force one fill freeze round
-                // per flow, making the exact solve O(flows²) per recompute.
-                let spec_of = |net: &mut FlowNet, i: usize| {
-                    let comp = i % NCOMP;
-                    let k = i / NCOMP;
-                    let a = links[comp * COMP_LINKS + k % COMP_LINKS];
-                    let b = links[comp * COMP_LINKS + (k * 7 + 1) % COMP_LINKS];
-                    let path = if a == b {
-                        net.intern_path(&[a])
-                    } else {
-                        net.intern_path(&[a, b])
-                    };
-                    FlowSpec {
-                        path,
-                        size_bits: 1e15,
-                        demand_bps: 50e9 + k as f64 * 1e6,
-                        tag: i as u64,
-                    }
-                };
-                let mut handles: Vec<_> = (0..n)
-                    .map(|i| {
-                        let spec = spec_of(&mut net, i);
-                        net.start_flow(SimTime::ZERO, spec)
-                    })
-                    .collect();
-                net.recompute_if_dirty();
-                let warm = net.alloc_scope();
-                let mut i = 0usize;
-                b.iter(|| {
-                    for _ in 0..CHURN_BATCH {
-                        let slot = i % handles.len();
-                        net.kill_flow(SimTime::ZERO, handles[slot]);
-                        let spec = spec_of(&mut net, slot);
-                        handles[slot] = net.start_flow(SimTime::ZERO, spec);
-                        i += 1;
-                    }
-                    net.recompute_if_dirty();
-                });
-                let scope = net.alloc_scope().since(&warm);
-                eprintln!(
-                    "allocator/{name}/{n}: {:.1} flows + {:.1} links touched per event \
+    let name = "incremental_collective";
+    let n = 16384usize;
+    group.bench_with_input(BenchmarkId::new(name, n), &n, |b, &n| {
+        let mut net = FlowNet::with_allocator(AllocatorKind::Incremental);
+        let links: Vec<_> = (0..NCOMP * COMP_LINKS)
+            .map(|_| net.add_link(4e12, 1e7))
+            .collect();
+        // Slot i lives in component (i % NCOMP); consecutive slots
+        // churn distinct components, like the pod bench. Distinct
+        // demands per in-component slot force one fill freeze round
+        // per flow, making the exact solve O(flows²) per recompute.
+        let spec_of = |net: &mut FlowNet, i: usize| {
+            let comp = i % NCOMP;
+            let k = i / NCOMP;
+            let a = links[comp * COMP_LINKS + k % COMP_LINKS];
+            let b = links[comp * COMP_LINKS + (k * 7 + 1) % COMP_LINKS];
+            let path = if a == b {
+                net.intern_path(&[a])
+            } else {
+                net.intern_path(&[a, b])
+            };
+            FlowSpec {
+                path,
+                size_bits: 1e15,
+                demand_bps: 50e9 + k as f64 * 1e6,
+                tag: i as u64,
+            }
+        };
+        let mut handles: Vec<_> = (0..n)
+            .map(|i| {
+                let spec = spec_of(&mut net, i);
+                net.start_flow(SimTime::ZERO, spec)
+            })
+            .collect();
+        net.recompute_if_dirty();
+        let warm = net.alloc_scope();
+        let mut i = 0usize;
+        b.iter(|| {
+            for _ in 0..CHURN_BATCH {
+                let slot = i % handles.len();
+                net.kill_flow(SimTime::ZERO, handles[slot]);
+                let spec = spec_of(&mut net, slot);
+                handles[slot] = net.start_flow(SimTime::ZERO, spec);
+                i += 1;
+            }
+            net.recompute_if_dirty();
+        });
+        let scope = net.alloc_scope().since(&warm);
+        eprintln!(
+            "allocator/{name}/{n}: {:.1} flows + {:.1} links touched per event \
                      ({:.4} of active flows)",
-                    scope.mean_flows_touched(),
-                    scope.mean_links_touched(),
-                    scope.touched_fraction(),
-                );
-            });
-        }
-    }
+            scope.mean_flows_touched(),
+            scope.mean_links_touched(),
+            scope.touched_fraction(),
+        );
+    });
     group.finish();
     write_alloc_tracking(c);
 }

@@ -34,7 +34,7 @@
 //!                                      # fuzz-derived scenarios to an
 //!                                      # in-process serve instance and
 //!                                      # requires bitwise-oracle-equal output
-//! hpn-experiments serve [--addr H:P] [--jobs N] [--quick] [--share-memo]
+//! hpn-experiments serve [--addr H:P] [--jobs N] [--quick]
 //!                                      # long-running what-if server with a
 //!                                      # cross-request artifact cache; see
 //!                                      # EXPERIMENTS.md "Service mode"
@@ -46,14 +46,11 @@
 //! inclusive) sweeps root seeds: one manifest per seed plus an aggregated
 //! `variance.json`.
 //!
-//! `HPN_ALLOCATOR=dense|incremental|surrogate` selects the rate allocator
-//! (default incremental; `parallel` is accepted as an alias of
-//! incremental). `--validate-every N` sets the surrogate allocator's
-//! online-validation cadence (only meaningful under
-//! `HPN_ALLOCATOR=surrogate`): every Nth cache hit is re-solved exactly,
-//! `1` validates every hit, `0` disables validation entirely. Both are read
-//! once, here, into the base context every experiment, gate, run, scenario
-//! and serve cell derives from; the library crates read no environment.
+//! `HPN_ALLOCATOR=dense|incremental` selects the rate allocator (default
+//! incremental; `parallel` is accepted as an alias of incremental). It is
+//! read once, here, into the base context every experiment, gate, run,
+//! scenario, fuzz and serve cell derives from; the library crates read no
+//! environment.
 
 use std::io::Write as _;
 
@@ -81,7 +78,7 @@ fn parse_seeds(spec: &str) -> Result<Vec<u64>, String> {
         (parse(a)?, parse(b)?)
     } else {
         let s = parse(spec)?;
-        (s, s + 1)
+        (s, s.checked_add(1).ok_or("seed overflow")?)
     };
     if lo >= hi {
         return Err(format!("empty seed range '{spec}'"));
@@ -92,24 +89,14 @@ fn parse_seeds(spec: &str) -> Result<Vec<u64>, String> {
     Ok((lo..hi).collect())
 }
 
-/// The base context: the allocator `HPN_ALLOCATOR` names and the
-/// `--validate-every` cadence. The only environment read in the workspace.
-fn base_ctx(validate_every: Option<&str>) -> SimCtx {
+/// The base context: the allocator `HPN_ALLOCATOR` names. The only
+/// environment read in the workspace.
+fn base_ctx() -> SimCtx {
     let mut ctx = SimCtx::new();
     if let Ok(name) = std::env::var("HPN_ALLOCATOR") {
         match AllocatorKind::from_name(&name) {
             Some(kind) => ctx = ctx.with_allocator(kind),
             None => eprintln!("HPN_ALLOCATOR: unknown allocator '{name}', using incremental"),
-        }
-    }
-    if let Some(v) = validate_every {
-        match v.parse::<u32>() {
-            // `0` = never validate is a legal cadence for perf probing.
-            Ok(n) => ctx = ctx.with_validate_every(n),
-            Err(_) => {
-                eprintln!("--validate-every wants a non-negative integer, got '{v}'");
-                std::process::exit(2);
-            }
         }
     }
     ctx
@@ -129,9 +116,8 @@ fn main() {
     let baseline_arg = opt_value(&args, "--baseline");
     let current_arg = opt_value(&args, "--current");
     let threshold_arg = opt_value(&args, "--threshold");
-    let validate_every_arg = opt_value(&args, "--validate-every");
     let addr_arg = opt_value(&args, "--addr");
-    let base = base_ctx(validate_every_arg.as_deref());
+    let base = base_ctx();
     let jobs = match &jobs_arg {
         None => 1,
         Some(v) => match v.parse::<usize>() {
@@ -155,7 +141,6 @@ fn main() {
         &baseline_arg,
         &current_arg,
         &threshold_arg,
-        &validate_every_arg,
         &addr_arg,
     ]
     .iter()
@@ -254,6 +239,7 @@ fn main() {
                         }
                     };
                     scenario_fuzz(
+                        &base,
                         files,
                         jobs,
                         seeds,
@@ -289,8 +275,7 @@ fn main() {
         }
         "serve" => {
             let addr = addr_arg.as_deref().unwrap_or("127.0.0.1:7070");
-            let share_memo = args.iter().any(|a| a == "--share-memo");
-            serve(base, addr, jobs, scale, share_memo);
+            serve(base, addr, jobs, scale);
         }
         "run" => {
             let seeds = match seeds_arg.as_deref().map(parse_seeds) {
@@ -682,12 +667,14 @@ fn scenario_run(
 
 /// The `scenario fuzz` subcommand: property-fuzz the simulator over a seed
 /// range (or re-check reproducer files), fanning seeds out over the
-/// work-stealing pool. Each seed is a pure function of `(seed, mutation)`,
-/// and results are printed in seed order — output is byte-identical at any
-/// `--jobs`. Shrunk reproducers are written as `failing_<seed>.toml` under
-/// the output directory. The invariant battery builds its own allocators
-/// (every one, side by side), so it takes no base context.
+/// work-stealing pool. Each seed is a pure function of `(base, seed,
+/// mutation)`, and results are printed in seed order — output is
+/// byte-identical at any `--jobs`. Shrunk reproducers are written as
+/// `failing_<seed>.toml` under the output directory. The churn level pits
+/// dense against incremental whatever `base` says; the session level runs
+/// `base`'s allocator.
 fn scenario_fuzz(
+    base: &SimCtx,
     files: &[String],
     jobs: usize,
     seeds: Option<Vec<u64>>,
@@ -732,9 +719,10 @@ fn scenario_fuzz(
         loaded
     };
     eprintln!(
-        "scenario fuzz: {} case(s), mutation={}, jobs={jobs}{}",
+        "scenario fuzz: {} case(s), mutation={}, allocator={}, jobs={jobs}{}",
         items.len(),
         mutation.name(),
+        base.allocator().name(),
         budget_secs.map_or(String::new(), |s| format!(", budget {s}s")),
     );
 
@@ -750,8 +738,12 @@ fn scenario_fuzz(
                 return None;
             }
             Some(match item {
-                Item::Seed(seed) => (format!("seed {seed}"), seed, fuzz_seed(seed, mutation)),
-                Item::File(path, sc, seed) => (path, seed, recheck(*sc, seed, mutation)),
+                Item::Seed(seed) => (
+                    format!("seed {seed}"),
+                    seed,
+                    fuzz_seed(base, seed, mutation),
+                ),
+                Item::File(path, sc, seed) => (path, seed, recheck(base, *sc, seed, mutation)),
             })
         });
     let wall = start.elapsed();
@@ -815,7 +807,7 @@ fn scenario_fuzz(
 }
 
 /// The `serve` subcommand: run the what-if server until `POST /shutdown`.
-fn serve(base: SimCtx, addr: &str, jobs: usize, scale: Scale, share_memo: bool) {
+fn serve(base: SimCtx, addr: &str, jobs: usize, scale: Scale) {
     use hpn_bench::serve::{ServeConfig, Server};
     let allocator = base.allocator().name();
     let server = match Server::spawn_with(
@@ -823,7 +815,7 @@ fn serve(base: SimCtx, addr: &str, jobs: usize, scale: Scale, share_memo: bool) 
         ServeConfig {
             jobs,
             scale,
-            share_memo,
+            share_memo: false,
         },
         base,
     ) {
@@ -834,10 +826,9 @@ fn serve(base: SimCtx, addr: &str, jobs: usize, scale: Scale, share_memo: bool) 
         }
     };
     eprintln!(
-        "serve: listening on http://{} ({:?}, jobs={jobs}, allocator={allocator}, memo sharing {})",
+        "serve: listening on http://{} ({:?}, jobs={jobs}, allocator={allocator})",
         server.addr(),
         scale,
-        if share_memo { "on" } else { "off" },
     );
     eprintln!("serve: POST /scenario/check | POST /scenario/run | GET /status | POST /shutdown");
     server.join();
@@ -973,4 +964,31 @@ fn write_out(path: &str, blob: &str) {
     let mut f = std::fs::File::create(path).expect("create json output");
     f.write_all(blob.as_bytes()).expect("write json output");
     eprintln!("wrote {path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_seeds;
+
+    #[test]
+    fn seed_specs_parse() {
+        assert_eq!(parse_seeds("7"), Ok(vec![7]));
+        assert_eq!(parse_seeds("1..4"), Ok(vec![1, 2, 3]));
+        assert_eq!(parse_seeds("1..=3"), Ok(vec![1, 2, 3]));
+        assert!(parse_seeds("3..3").is_err());
+    }
+
+    #[test]
+    fn seeds_at_u64_max_report_overflow_instead_of_panicking() {
+        let max = u64::MAX.to_string();
+        assert_eq!(parse_seeds(&max), Err("seed overflow".to_string()));
+        assert_eq!(
+            parse_seeds(&format!("{}..={max}", u64::MAX - 1)),
+            Err("seed overflow".to_string())
+        );
+        assert_eq!(
+            parse_seeds(&format!("{}..{max}", u64::MAX - 1)),
+            Ok(vec![u64::MAX - 1])
+        );
+    }
 }

@@ -487,20 +487,18 @@ mod tests {
     #[test]
     fn manifest_names_the_allocator_the_base_ctx_ran() {
         let plan = RunPlan::figures_only(&["fig06"], Scale::Quick);
-        let base = SimCtx::new().with_allocator(AllocatorKind::Surrogate);
+        let base = SimCtx::new().with_allocator(AllocatorKind::Dense);
         let results = run_plan(&base, &plan, 1);
-        assert_eq!(results[0].allocator, AllocatorKind::Surrogate);
+        assert_eq!(results[0].allocator, AllocatorKind::Dense);
         let manifests = write_sweep_outputs(&plan, &results, None).expect("no io without dir");
         assert!(
-            manifests[0]
-                .to_json()
-                .contains("\"allocator\": \"surrogate\""),
+            manifests[0].to_json().contains("\"allocator\": \"dense\""),
             "{}",
             manifests[0].to_json()
         );
         assert!(
             matches!(&results[0].events[0], Event::SimStart { label }
-                if label.contains("allocator=surrogate")),
+                if label.contains("allocator=dense")),
             "SimStart label names the allocator that ran"
         );
         let default = run_plan(&SimCtx::new(), &plan, 1);

@@ -265,10 +265,10 @@ pub fn report_with_latency(
 /// [`report_with_latency`] with every cacheable build phase routed through
 /// `cache` ([`Scenario::build_cached`]), and the finished run's artifacts
 /// harvested back so the next same-shape request starts warm. This is the
-/// serve path; the batch CLI stays cache-free. With memo sharing off (the
-/// default) the output is byte-identical to the uncached path — fabric and
-/// router are immutable shares and the warmed path interner never reaches
-/// output bytes (DESIGN.md §9).
+/// serve path; the batch CLI stays cache-free. The output is
+/// byte-identical to the uncached path — fabric and router are immutable
+/// shares and the warmed path interner never reaches output bytes
+/// (DESIGN.md §9).
 pub fn report_with_latency_cached(
     ctx: &SimCtx,
     sc: &Scenario,
@@ -390,6 +390,51 @@ mod tests {
     use super::*;
     use hpn_scenario::{FaultsSpec, Injection, ModelId, MoeSpec, TopologySpec, WorkloadSpec};
     use hpn_topology::HpnConfig;
+
+    /// FCT is accounted twice: the net's always-on sketch and the
+    /// registry's sketch paired from `flow_add`/`flow_remove` events. On
+    /// every shipped training example the two must agree exactly.
+    #[test]
+    fn registry_fct_equals_the_net_sketch_on_training_examples() {
+        use hpn_scenario::WorkloadKind;
+        use hpn_telemetry::{EventLog, Registry, SharedRecorder};
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/scenarios");
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .expect("examples dir")
+            .map(|e| e.expect("dir entry").path())
+            .collect();
+        files.sort();
+        let mut checked = 0;
+        for path in files {
+            let sc = load(&path).expect("example loads");
+            if !matches!(
+                sc.workload.as_ref().map(|w| &w.kind),
+                Some(WorkloadKind::Training)
+            ) {
+                continue;
+            }
+            let log = EventLog::new();
+            let ctx = SimCtx::new().with_recorder(SharedRecorder::new(Box::new(log.clone())));
+            let built = sc.build_with(&ctx).expect("example builds");
+            let (_, cluster) = report_from_session(&sc, built, Scale::Quick, LatencyMode::Off);
+            ctx.recorder().flush();
+            let mut reg = Registry::new();
+            hpn_telemetry::replay(&log.take(), &mut reg);
+            let (events, net) = (&reg.latency().fct, cluster.net.fct_sketch());
+            let name = path.display();
+            assert!(net.count() > 0, "{name}: no flow completed");
+            assert_eq!(events.count(), net.count(), "{name}: FCT counts differ");
+            for q in [0.5, 0.9, 0.99, 0.999] {
+                assert_eq!(
+                    events.quantile(q).map(f64::to_bits),
+                    net.quantile(q).map(f64::to_bits),
+                    "{name}: FCT p{q} differs"
+                );
+            }
+            checked += 1;
+        }
+        assert!(checked >= 2, "only {checked} training examples found");
+    }
 
     fn training_scenario() -> Scenario {
         Scenario::new("cli-test", TopologySpec::Hpn(HpnConfig::tiny()))

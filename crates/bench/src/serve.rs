@@ -5,8 +5,8 @@
 //! question — "same fabric, this fault schedule instead", "same topology,
 //! bigger batch" — and pays the topology + routing build cost every time.
 //! `serve` keeps one process (and one [`ArtifactCache`]) alive across
-//! requests, so repeat what-ifs reuse the built fabric, routing tables,
-//! interned route set and (opt-in) surrogate memo.
+//! requests, so repeat what-ifs reuse the built fabric, routing tables and
+//! interned route set.
 //!
 //! The HTTP/1.1 server is hand-rolled on `std::net` — no new dependencies,
 //! matching the repo's `telemetry::sha256` and TOML-subset precedents. One
@@ -21,17 +21,17 @@
 //! |------------------------|-------------------------------------------------|
 //! | `POST /scenario/check` | parse + cross-layer validate the TOML body      |
 //! | `POST /scenario/run`   | execute; stream telemetry JSONL, then manifest  |
-//! | `GET /status`          | queue depth, cache + cumulative surrogate stats |
+//! | `GET /status`          | queue depth and artifact-cache counters         |
 //! | `POST /shutdown`       | drain the queue and stop                        |
 //!
 //! A `/scenario/run` response is chunked: the cell's telemetry JSONL
 //! streamed live while the simulation runs, then a
 //! [`MANIFEST_SEPARATOR`] line, then the [`RunManifest`] JSON — the same
 //! bytes `scenario run --out` writes to `<name>.telemetry.jsonl` and
-//! `manifest.json`. **Determinism is the contract**: with memo sharing off
-//! (the default) a serve response is byte-identical to the batch CLI's
-//! output, cold or warm cache, at any `--jobs` (`tests/serve.rs` and the
-//! `scenario fuzz --serve` leg enforce this against an in-process oracle).
+//! `manifest.json`. **Determinism is the contract**: a serve response is
+//! byte-identical to the batch CLI's output, cold or warm cache, at any
+//! `--jobs` (`tests/serve.rs` and the `scenario fuzz --serve` leg enforce
+//! this against an in-process oracle).
 //!
 //! [`RunManifest`]: hpn_telemetry::RunManifest
 
@@ -70,15 +70,13 @@ pub struct ServeConfig {
     pub jobs: usize,
     /// Fidelity of every cell (`--quick`).
     pub scale: Scale,
-    /// Cross-request surrogate-memo sharing (`--share-memo`). Off by
-    /// default: warm memo hits change surrogate telemetry, and the default
-    /// configuration keeps serve output byte-identical to batch runs (see
-    /// [`ArtifactCache::with_memo_sharing`]).
+    /// Inert: ignored by the server, kept only because external benchmark
+    /// code sets it. No allocator keeps a memo to share.
     pub share_memo: bool,
 }
 
 impl ServeConfig {
-    /// Defaults: one worker, quick scale, memo sharing off.
+    /// Defaults: one worker, quick scale.
     pub fn new() -> Self {
         ServeConfig {
             jobs: 1,
@@ -94,15 +92,6 @@ impl Default for ServeConfig {
     }
 }
 
-#[derive(Default)]
-struct SurrogateTotals {
-    lookups: u64,
-    hits: u64,
-    misses: u64,
-    validations: u64,
-    mismatches: u64,
-}
-
 /// State shared by the accept loop, connection threads and workers.
 struct Shared {
     /// The context every request's cell derives from (allocator choice).
@@ -116,7 +105,6 @@ struct Shared {
     active: AtomicUsize,
     completed: AtomicU64,
     connections: AtomicUsize,
-    surrogate: Mutex<SurrogateTotals>,
 }
 
 /// One queued `/scenario/run` request.
@@ -177,7 +165,7 @@ impl Server {
         let local = listener.local_addr()?;
         let shared = Arc::new(Shared {
             base,
-            cache: ArtifactCache::new().with_memo_sharing(config.share_memo),
+            cache: ArtifactCache::new(),
             scale: config.scale,
             jobs: config.jobs.max(1),
             queue: Mutex::new(VecDeque::new()),
@@ -186,7 +174,6 @@ impl Server {
             active: AtomicUsize::new(0),
             completed: AtomicU64::new(0),
             connections: AtomicUsize::new(0),
-            surrogate: Mutex::new(SurrogateTotals::default()),
         });
         let workers = (0..shared.jobs)
             .map(|_| {
@@ -310,16 +297,7 @@ fn worker(shared: &Arc<Shared>) {
         {
             let mut st = job.state.state.lock().expect("job state");
             *st = match outcome {
-                Ok(r) => {
-                    let s = r.registry.surrogate();
-                    let mut tot = shared.surrogate.lock().expect("surrogate totals");
-                    tot.lookups += s.lookups;
-                    tot.hits += s.hits();
-                    tot.misses += s.misses;
-                    tot.validations += s.validations;
-                    tot.mismatches += s.mismatches;
-                    JobState::Done(Box::new(r))
-                }
+                Ok(r) => JobState::Done(Box::new(r)),
                 Err(p) => JobState::Failed(panic_message(&p)),
             };
         }
@@ -464,35 +442,22 @@ fn parse_scenario(body: &[u8]) -> Result<Scenario, HttpError> {
 
 fn status_json(shared: &Shared) -> String {
     let c = shared.cache.stats();
-    let s = shared.surrogate.lock().expect("surrogate totals");
     format!(
         "{{\"jobs\":{},\"queue_depth\":{},\"active\":{},\"completed\":{},\
-         \"memo_sharing\":{},\
          \"cache\":{{\"topology_hits\":{},\"topology_misses\":{},\
          \"router_hits\":{},\"router_misses\":{},\
-         \"path_hits\":{},\"path_misses\":{},\
-         \"memo_hits\":{},\"memo_misses\":{},\"harvests\":{}}},\
-         \"surrogate\":{{\"lookups\":{},\"hits\":{},\"misses\":{},\
-         \"validations\":{},\"mismatches\":{}}}}}",
+         \"path_hits\":{},\"path_misses\":{},\"harvests\":{}}}}}",
         shared.jobs,
         shared.queue.lock().expect("serve queue").len(),
         shared.active.load(Ordering::SeqCst),
         shared.completed.load(Ordering::SeqCst),
-        shared.cache.memo_sharing(),
         c.topology_hits,
         c.topology_misses,
         c.router_hits,
         c.router_misses,
         c.path_hits,
         c.path_misses,
-        c.memo_hits,
-        c.memo_misses,
         c.harvests,
-        s.lookups,
-        s.hits,
-        s.misses,
-        s.validations,
-        s.mismatches,
     )
 }
 
@@ -890,7 +855,6 @@ mod tests {
         let text = String::from_utf8(body).unwrap();
         assert!(text.contains("\"jobs\":3"), "{text}");
         assert!(text.contains("\"topology_hits\":0"), "{text}");
-        assert!(text.contains("\"memo_sharing\":false"), "{text}");
         server.stop();
         server.join();
     }

@@ -179,11 +179,11 @@ fn run_response_shape_is_jsonl_then_manifest() {
 }
 
 /// The server's base context reaches every request's cell: a server
-/// spawned with the surrogate allocator serves the surrogate oracle's
-/// bytes, and its manifest names the allocator that ran.
+/// spawned with the dense allocator serves the dense oracle's bytes, and
+/// its manifest names the allocator that ran.
 #[test]
 fn spawn_with_runs_requests_under_the_base_ctx() {
-    let base = SimCtx::new().with_allocator(AllocatorKind::Surrogate);
+    let base = SimCtx::new().with_allocator(AllocatorKind::Dense);
     let server = Server::spawn_with(
         "127.0.0.1:0",
         ServeConfig {
@@ -194,8 +194,8 @@ fn spawn_with_runs_requests_under_the_base_ctx() {
         base.clone(),
     )
     .expect("bind loopback");
-    let sc = training("surrogate-base");
-    diff_vs_oracle(server.addr(), &base, &sc, Scale::Quick).expect("served ≡ surrogate oracle");
+    let sc = training("dense-base");
+    diff_vs_oracle(server.addr(), &base, &sc, Scale::Quick).expect("served ≡ dense oracle");
     let (_, body) = request(
         server.addr(),
         "POST",
@@ -205,10 +205,7 @@ fn spawn_with_runs_requests_under_the_base_ctx() {
     .expect("run");
     let (_, manifest) = split_run_body(&body).expect("separator present");
     let manifest = std::str::from_utf8(manifest).unwrap();
-    assert!(
-        manifest.contains("\"allocator\": \"surrogate\""),
-        "{manifest}"
-    );
+    assert!(manifest.contains("\"allocator\": \"dense\""), "{manifest}");
     server.stop();
     server.join();
 }

@@ -8,11 +8,11 @@
 //!    reproduces from its seed alone),
 //! 2. [`check_scenario`] runs the scenario through the simulator twice over
 //!    — a deterministic churn script against mirrored fluid networks (the
-//!    `DenseMaxMin` oracle vs the production `IncrementalMaxMin` vs the
-//!    memoized `SurrogateMaxMin`) plus a full `Scenario::build()` session —
+//!    `DenseMaxMin` oracle vs the production `IncrementalMaxMin`) plus a
+//!    full `Scenario::build()` session under the caller's base context —
 //!    and checks a library of invariant oracles: per-link capacity
 //!    conservation, max-min bottleneck optimality, bitwise
-//!    dense/incremental/surrogate equivalence, flow conservation
+//!    dense/incremental equivalence, flow conservation
 //!    across fault inject/repair, sim-time monotonicity of the telemetry
 //!    stream, and metamorphic properties (scaling all capacities scales all
 //!    rates; appending idle links changes nothing),
@@ -38,6 +38,7 @@ pub use oracle::{check_scenario, CheckStats, Failure};
 pub use shrink::shrink;
 
 use hpn_scenario::Scenario;
+use hpn_telemetry::SimCtx;
 
 /// Outcome of fuzzing one seed: a deterministic one-line summary plus, on
 /// failure, the shrunk reproducer.
@@ -66,16 +67,17 @@ pub enum SeedOutcome {
 
 /// Generate, check and — on failure — shrink one seed. This is the unit of
 /// work `hpn-experiments scenario fuzz` fans out over the worker pool; it
-/// is a pure function of `(seed, mutation)`, which is what makes fuzz
-/// output byte-reproducible at any `--jobs`.
-pub fn fuzz_seed(seed: u64, mutation: Mutation) -> SeedOutcome {
+/// is a pure function of `(base, seed, mutation)`, which is what makes
+/// fuzz output byte-reproducible at any `--jobs`. `base` is the context
+/// the session level runs under (its allocator, e.g. `HPN_ALLOCATOR`).
+pub fn fuzz_seed(base: &SimCtx, seed: u64, mutation: Mutation) -> SeedOutcome {
     let sc = generate(seed);
-    match check_scenario(&sc, seed, mutation) {
+    match check_scenario(base, &sc, seed, mutation) {
         Ok(stats) => SeedOutcome::Pass {
             summary: format!("{} {stats}", sc.topology.kind()),
         },
         Err(failure) => {
-            let (shrunk, fail) = shrink(sc, seed, mutation, &failure);
+            let (shrunk, fail) = shrink(base, sc, seed, mutation, &failure);
             SeedOutcome::Fail {
                 invariant: fail.invariant.to_string(),
                 detail: fail.detail,
@@ -90,13 +92,13 @@ pub fn fuzz_seed(seed: u64, mutation: Mutation) -> SeedOutcome {
 /// an earlier run) under its seed, re-shrinking if it still fails. The
 /// churn script depends on the seed, which the fuzzer embeds in the
 /// generated scenario name (`fuzz-<seed>`); [`seed_of`] recovers it.
-pub fn recheck(sc: Scenario, seed: u64, mutation: Mutation) -> SeedOutcome {
-    match check_scenario(&sc, seed, mutation) {
+pub fn recheck(base: &SimCtx, sc: Scenario, seed: u64, mutation: Mutation) -> SeedOutcome {
+    match check_scenario(base, &sc, seed, mutation) {
         Ok(stats) => SeedOutcome::Pass {
             summary: format!("{} {stats}", sc.topology.kind()),
         },
         Err(failure) => {
-            let (shrunk, fail) = shrink(sc, seed, mutation, &failure);
+            let (shrunk, fail) = shrink(base, sc, seed, mutation, &failure);
             SeedOutcome::Fail {
                 invariant: fail.invariant.to_string(),
                 detail: fail.detail,

@@ -3,22 +3,21 @@
 //! A scenario is checked at two levels:
 //!
 //! * **Churn level** — the fabric's links are mirrored into fluid networks
-//!   (the `DenseMaxMin` reference vs the production `IncrementalMaxMin` vs
-//!   the memoized `SurrogateMaxMin` at validation cadence 1 and at its
-//!   default cadence 64) and driven in lockstep through a deterministic
-//!   churn script of flow starts, kills, time advances and link
-//!   fail/repair toggles derived from the fuzz seed. After every operation
-//!   each network is audited for per-link capacity conservation and the
-//!   max-min bottleneck condition, and every trace must agree *bitwise*
-//!   with the incremental one. Two metamorphic replays follow: scaling
-//!   every capacity, demand and size by 2 must scale every rate by
-//!   exactly 2, and appending idle links no flow touches must change
-//!   nothing.
+//!   (the `DenseMaxMin` reference vs the production `IncrementalMaxMin`)
+//!   and driven in lockstep through a deterministic churn script of flow
+//!   starts, kills, time advances and link fail/repair toggles derived
+//!   from the fuzz seed. After every operation each network is audited for
+//!   per-link capacity conservation and the max-min bottleneck condition,
+//!   and the two traces must agree *bitwise*. Two metamorphic replays
+//!   follow: scaling every capacity, demand and size by 2 must scale every
+//!   rate by exactly 2, and appending idle links no flow touches must
+//!   change nothing.
 //! * **Session level** — the scenario is built into a full
-//!   [`hpn_scenario::Session`] under an explicit [`SimCtx`] carrying a
-//!   capturing telemetry recorder, its fault schedule replayed through
-//!   cable events, its workload iterated.
-//!   Iteration records must be time-monotonic with finite throughput, the
+//!   [`hpn_scenario::Session`] under the caller's base [`SimCtx`] (so its
+//!   allocator runs) with a capturing telemetry recorder, its fault
+//!   schedule replayed through cable events, its workload iterated.
+//!   The session's `SimStart` label must name the base allocator,
+//!   iteration records must be time-monotonic with finite throughput, the
 //!   telemetry stream must be sim-time monotonic per segment, flow
 //!   add/remove events must balance against the surviving flow count, and
 //!   the fluid net must end capacity-conserving.
@@ -35,7 +34,7 @@ use hpn_scenario::{Scenario, Session};
 use hpn_sim::{
     label_hash, split_seed, AllocatorKind, FlowHandle, FlowNet, FlowSpec,
     LinkDecompositionEstimator, LinkId, PathId, QuantileSketch, SimDuration, SimTime, StreamSeed,
-    SurrogateConfig, SurrogateMaxMin, Xoshiro256,
+    Xoshiro256,
 };
 use hpn_telemetry::{replay, Event, EventLog, Registry, SharedRecorder, SimCtx};
 use hpn_topology::{Fabric, LinkIdx};
@@ -84,24 +83,40 @@ pub struct CheckStats {
     pub iters: usize,
     /// Telemetry events the session emitted.
     pub events: usize,
+    /// The allocator the session ran, as its `SimStart` label names it.
+    pub allocator: &'static str,
 }
 
 impl fmt::Display for CheckStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "hosts={} links={} routes={} ops={} flows={} iters={} events={}",
-            self.hosts, self.links, self.routes, self.ops, self.flows, self.iters, self.events
+            "hosts={} links={} routes={} ops={} flows={} iters={} events={} alloc={}",
+            self.hosts,
+            self.links,
+            self.routes,
+            self.ops,
+            self.flows,
+            self.iters,
+            self.events,
+            self.allocator
         )
     }
 }
 
 /// Run the full oracle battery on one scenario under one fuzz seed.
 ///
-/// `mutation` wires a deliberate bug into the incremental allocator of the
-/// churn-level twin networks — production callers pass
+/// `base` is the context the session level derives from (its allocator
+/// runs the session; the churn level always pits dense against
+/// incremental). `mutation` wires a deliberate bug into the incremental
+/// allocator of the churn-level twin networks — production callers pass
 /// [`Mutation::None`].
-pub fn check_scenario(sc: &Scenario, seed: u64, mutation: Mutation) -> Result<CheckStats, Failure> {
+pub fn check_scenario(
+    base: &SimCtx,
+    sc: &Scenario,
+    seed: u64,
+    mutation: Mutation,
+) -> Result<CheckStats, Failure> {
     let fabric = sc
         .topology
         .try_build()
@@ -156,29 +171,6 @@ pub fn check_scenario(sc: &Scenario, seed: u64, mutation: Mutation) -> Result<Ch
             "incremental",
         )?;
 
-        // The memoized surrogate caches exact per-component rates, so its
-        // trace must be bitwise identical to the incremental reference both
-        // when every hit is re-solved (cadence 1) and at the default
-        // cadence, where hits stand unvalidated between checks.
-        for validate_every in [1, SurrogateConfig::default().validate_every] {
-            let surr = run_script(
-                &caps,
-                &routes,
-                &used_links,
-                &script,
-                Alloc::Surrogate { validate_every },
-                1.0,
-                0,
-            )?;
-            compare_bitwise(
-                &incr,
-                &surr,
-                "allocator_equivalence",
-                "incremental",
-                &format!("surrogate(validate_every={validate_every})"),
-            )?;
-        }
-
         let scaled = run_script(
             &caps,
             &routes,
@@ -202,7 +194,7 @@ pub fn check_scenario(sc: &Scenario, seed: u64, mutation: Mutation) -> Result<Ch
         compare_bitwise(&incr, &idle, "metamorphic_idle", "base", "idle-extended")?;
     }
 
-    let (iters, events) = check_session(sc)?;
+    let (iters, events) = check_session(sc, base)?;
     Ok(CheckStats {
         hosts: fabric.active_hosts().count(),
         links: fabric.net.link_count(),
@@ -211,6 +203,7 @@ pub fn check_scenario(sc: &Scenario, seed: u64, mutation: Mutation) -> Result<Ch
         flows,
         iters,
         events,
+        allocator: base.allocator().name(),
     })
 }
 
@@ -242,11 +235,6 @@ enum Op {
 enum Alloc {
     Dense,
     Incremental(Mutation),
-    /// The memoized surrogate allocator at an explicit validation cadence
-    /// (`1` = every cache hit re-solved exactly).
-    Surrogate {
-        validate_every: u32,
-    },
 }
 
 impl Alloc {
@@ -254,7 +242,6 @@ impl Alloc {
         match self {
             Alloc::Dense => "dense",
             Alloc::Incremental(_) => "incremental",
-            Alloc::Surrogate { .. } => "surrogate",
         }
     }
 
@@ -268,12 +255,6 @@ impl Alloc {
                 AllocatorKind::Incremental.build(),
                 m,
             ))),
-            Alloc::Surrogate { validate_every } => FlowNet::with_allocator_box(Box::new(
-                SurrogateMaxMin::with_config(SurrogateConfig {
-                    validate_every,
-                    ..SurrogateConfig::default()
-                }),
-            )),
         }
     }
 }
@@ -674,17 +655,21 @@ struct LatencyTrace {
     est_skipped: u64,
 }
 
-/// Build and run the scenario's full session under an explicit context
-/// with a capturing recorder, then audit iteration records, telemetry
-/// monotonicity, flow add/remove balance, final capacity conservation,
-/// quantile-sketch mass/merge conservation, and the tail estimator's
-/// error bound against the simulated FCT distribution.
-fn check_session(sc: &Scenario) -> Result<(usize, usize), Failure> {
+/// Build and run the scenario's full session under `base` with a
+/// capturing recorder, then audit the allocator its `SimStart` label
+/// names, iteration records, telemetry monotonicity, flow add/remove
+/// balance, final capacity conservation, quantile-sketch mass/merge
+/// conservation, and the tail estimator's error bound against the
+/// simulated FCT distribution.
+fn check_session(sc: &Scenario, base: &SimCtx) -> Result<(usize, usize), Failure> {
     let log = EventLog::new();
-    let ctx = SimCtx::new().with_recorder(SharedRecorder::new(Box::new(log.clone())));
+    let ctx = base
+        .clone()
+        .with_recorder(SharedRecorder::new(Box::new(log.clone())));
     let outcome = build_and_run(sc, &ctx);
     let events = log.take();
     let (iters, final_flows, latency) = outcome?;
+    check_session_allocator(&events, base.allocator().name())?;
     check_telemetry(&events, final_flows)?;
     check_latency_sketches(&events)?;
     check_estimator(&events, &latency)?;
@@ -766,6 +751,36 @@ fn build_and_run(sc: &Scenario, ctx: &SimCtx) -> Result<(usize, usize, LatencyTr
         est_skipped: est.skipped(),
     };
     Ok((iters, cs.net.flow_count(), latency))
+}
+
+/// The session must emit a cluster `SimStart`, and every such label must
+/// name the allocator the base context asked for (`alloc=<name>`): a
+/// session that silently ran another allocator would check the wrong
+/// code.
+fn check_session_allocator(events: &[Event], want: &str) -> Result<(), Failure> {
+    let mut clusters = 0;
+    for ev in events {
+        if let Event::SimStart { label } = ev {
+            if !label.starts_with("cluster ") {
+                continue;
+            }
+            clusters += 1;
+            let named = label.split(' ').find_map(|tok| tok.strip_prefix("alloc="));
+            if named != Some(want) {
+                return Err(fail(
+                    "session_allocator",
+                    format!("session label `{label}` does not name allocator `{want}`"),
+                ));
+            }
+        }
+    }
+    if clusters == 0 {
+        return Err(fail(
+            "session_allocator",
+            "the session emitted no cluster `SimStart`".to_string(),
+        ));
+    }
+    Ok(())
 }
 
 /// Telemetry-stream invariants: per-segment sim-time monotonicity, and

@@ -11,6 +11,7 @@
 //! thing makes the failure disappear.
 
 use hpn_scenario::{Scenario, TopologySpec, WorkloadKind};
+use hpn_telemetry::SimCtx;
 use hpn_topology::HpnConfig;
 
 use crate::gen::normalize;
@@ -18,8 +19,10 @@ use crate::mutate::Mutation;
 use crate::oracle::{check_scenario, Failure};
 
 /// Shrink a failing scenario while preserving the violated invariant.
+/// Every candidate is checked under `base`, as the original failure was.
 /// Returns the minimized scenario and the failure it still produces.
 pub fn shrink(
+    base: &SimCtx,
     sc: Scenario,
     seed: u64,
     mutation: Mutation,
@@ -44,7 +47,7 @@ pub fn shrink(
                 if cand == best || cand.check().is_err() {
                     continue;
                 }
-                if let Err(f) = check_scenario(&cand, seed, mutation) {
+                if let Err(f) = check_scenario(base, &cand, seed, mutation) {
                     if !same_invariant || f.invariant == best_failure.invariant {
                         best = cand;
                         best_failure = f;

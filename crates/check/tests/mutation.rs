@@ -4,6 +4,8 @@
 
 use hpn_check::{fuzz_seed, recheck, seed_of, Mutation, SeedOutcome};
 use hpn_scenario::Scenario;
+use hpn_sim::AllocatorKind;
+use hpn_telemetry::SimCtx;
 
 /// Seed slice the smoke tests sweep. Small enough for debug-mode CI,
 /// large enough to cover all four topology kinds and the
@@ -13,7 +15,7 @@ const SEEDS: std::ops::RangeInclusive<u64> = 1..=16;
 #[test]
 fn clean_configuration_passes_every_oracle() {
     for seed in SEEDS {
-        match fuzz_seed(seed, Mutation::None) {
+        match fuzz_seed(&SimCtx::new(), seed, Mutation::None) {
             SeedOutcome::Pass { .. } => {}
             SeedOutcome::Fail {
                 invariant, detail, ..
@@ -25,13 +27,35 @@ fn clean_configuration_passes_every_oracle() {
 #[test]
 fn fuzzing_is_deterministic_per_seed() {
     for seed in [3u64, 11, 14] {
-        let a = fuzz_seed(seed, Mutation::None);
-        let b = fuzz_seed(seed, Mutation::None);
+        let a = fuzz_seed(&SimCtx::new(), seed, Mutation::None);
+        let b = fuzz_seed(&SimCtx::new(), seed, Mutation::None);
         match (a, b) {
             (SeedOutcome::Pass { summary: sa }, SeedOutcome::Pass { summary: sb }) => {
                 assert_eq!(sa, sb, "seed {seed} summary not reproducible")
             }
             (a, b) => panic!("seed {seed} outcomes diverged: {a:?} vs {b:?}"),
+        }
+    }
+}
+
+#[test]
+fn session_level_runs_the_base_context_allocator() {
+    // A seed passes only if the session's `SimStart` label names the base
+    // allocator (the `session_allocator` oracle); its summary reports it.
+    for (base, want) in [
+        (SimCtx::new(), "alloc=incremental"),
+        (
+            SimCtx::new().with_allocator(AllocatorKind::Dense),
+            "alloc=dense",
+        ),
+    ] {
+        match fuzz_seed(&base, 3, Mutation::None) {
+            SeedOutcome::Pass { summary } => {
+                assert!(summary.ends_with(want), "{summary} should end with {want}")
+            }
+            SeedOutcome::Fail {
+                invariant, detail, ..
+            } => panic!("seed 3 under {want} violated `{invariant}`: {detail}"),
         }
     }
 }
@@ -45,7 +69,7 @@ fn rate_overshoot_mutation_is_caught_and_shrunk_small() {
             shrunk_toml,
             shrunk_hosts,
             ..
-        } = fuzz_seed(seed, Mutation::RateOvershoot)
+        } = fuzz_seed(&SimCtx::new(), seed, Mutation::RateOvershoot)
         {
             caught += 1;
             // The overshoot perturbs only the incremental twin, so the
@@ -68,7 +92,7 @@ fn rate_overshoot_mutation_is_caught_and_shrunk_small() {
             let sc = Scenario::parse_toml(&shrunk_toml).expect("reproducer TOML parses");
             let re_seed = seed_of(&sc).expect("reproducer name embeds its seed");
             assert_eq!(re_seed, seed);
-            match recheck(sc, re_seed, Mutation::RateOvershoot) {
+            match recheck(&SimCtx::new(), sc, re_seed, Mutation::RateOvershoot) {
                 SeedOutcome::Fail {
                     invariant: again, ..
                 } => assert_eq!(

@@ -1,6 +1,6 @@
 //! Rate allocation behind the [`RateAllocator`] seam.
 //!
-//! The fluid model assigns every active flow a max-min fair rate. Three
+//! The fluid model assigns every active flow a max-min fair rate. Two
 //! implementations share one trait:
 //!
 //! * [`DenseMaxMin`] — the original progressive-filling solver, recomputing
@@ -8,12 +8,9 @@
 //!   freeze-rounds) per event; kept as the reference oracle.
 //! * [`IncrementalMaxMin`] — maintains per-link flow membership and, on a
 //!   flow add/remove or link change, recomputes only the **connected
-//!   component** of flows and links reachable from the perturbed element
-//!   through shared links. Flows outside the component keep their rates
+//!   components** of flows and links reachable from the perturbed elements
+//!   through shared links. Flows outside them keep their rates
 //!   bitwise-unchanged. The default.
-//! * [`crate::surrogate::SurrogateMaxMin`] — the incremental scoping with a
-//!   canonical-shape memo in front of the per-component fill: a miss runs
-//!   the exact fill and caches its rates, a same-scale hit replays them.
 //!
 //! The incremental scoping is exact, not approximate: max-min allocation
 //! decomposes across connected components of the flow↔link sharing graph.
@@ -25,13 +22,15 @@
 //! of a component flow is too, so the restricted fill sees exactly the
 //! sub-problem the global fill would solve for those flows.
 //!
-//! All allocators solve through one `ComponentFill`: partition the flows
-//! at hand into connected components (union-find over links), fill each
-//! component independently, flows in ascending-id order. Interleaving the
-//! filling rounds across components would change float summation order and
-//! leave the implementations agreeing only to ~ulp; identical
-//! per-component arithmetic makes their rates **bitwise equal**, so figures
-//! regenerate byte-identically under any allocator.
+//! Both allocators fill one connected component at a time, flows in
+//! ascending-id order, with the same `Fill` arithmetic. They find the
+//! components independently: the dense solver partitions all flows with a
+//! union-find over links, the incremental one grows one BFS wave per
+//! component from its dirty seeds. Interleaving the filling rounds across
+//! components would change float summation order and leave the
+//! implementations agreeing only to ~ulp; identical per-component
+//! arithmetic makes their rates **bitwise equal**, so figures regenerate
+//! byte-identically under either allocator.
 //!
 //! Every recompute records how much it touched in a
 //! [`crate::stats::RecomputeScope`], making the incremental win observable
@@ -40,7 +39,7 @@
 use crate::arena::FlowArena;
 use crate::flownet::{FlowSpec, LinkId, LinkState, RATE_EPS};
 use crate::fxhash::FxHashMap;
-use crate::path::PathInterner;
+use crate::path::{PathId, PathInterner};
 use crate::stats::RecomputeScope;
 
 /// Which allocator a [`crate::FlowNet`] runs.
@@ -56,33 +55,32 @@ pub enum AllocatorKind {
     /// incremental allocator, and a net built from it reports
     /// `Incremental`.
     Parallel,
-    /// Memoized fast path: canonical-component-shape → exact rates cache,
-    /// self-validated against the exact solver every Nth hit
-    /// ([`crate::surrogate::SurrogateMaxMin`]).
+    /// Inert alias of [`AllocatorKind::Incremental`], kept only because
+    /// external benchmark code names it. It builds, names and reports the
+    /// incremental allocator, like [`AllocatorKind::Parallel`];
+    /// [`AllocatorKind::from_name`] does not accept it.
     Surrogate,
 }
 
 impl AllocatorKind {
     /// Parse a name as the experiment binary's `HPN_ALLOCATOR` accepts it
-    /// (`dense`, `incremental`, `surrogate`, or the `parallel` alias).
+    /// (`dense`, `incremental`, or the `parallel` alias).
     pub fn from_name(name: &str) -> Option<Self> {
         match name {
             "dense" => Some(AllocatorKind::Dense),
             "incremental" => Some(AllocatorKind::Incremental),
             "parallel" => Some(AllocatorKind::Parallel),
-            "surrogate" => Some(AllocatorKind::Surrogate),
             _ => None,
         }
     }
 
     /// The name of the allocator this kind builds, as manifests and
-    /// telemetry labels record it (the `parallel` alias reports
-    /// `incremental`, the allocator that actually runs).
+    /// telemetry labels record it (the aliases report `incremental`, the
+    /// allocator that actually runs).
     pub fn name(self) -> &'static str {
         match self {
             AllocatorKind::Dense => "dense",
-            AllocatorKind::Incremental | AllocatorKind::Parallel => "incremental",
-            AllocatorKind::Surrogate => "surrogate",
+            _ => "incremental",
         }
     }
 
@@ -90,10 +88,7 @@ impl AllocatorKind {
     pub fn build(self) -> Box<dyn RateAllocator> {
         match self {
             AllocatorKind::Dense => Box::new(DenseMaxMin::default()),
-            AllocatorKind::Incremental | AllocatorKind::Parallel => {
-                Box::new(IncrementalMaxMin::default())
-            }
-            AllocatorKind::Surrogate => Box::new(crate::surrogate::SurrogateMaxMin::default()),
+            _ => Box::new(IncrementalMaxMin::default()),
         }
     }
 }
@@ -154,35 +149,6 @@ pub trait RateAllocator: Send {
     /// (`active_flows`, `allocated_bps`, `offered_bps`), update the hot
     /// set, and record the touched scope.
     fn recompute(&mut self, ctx: &mut AllocCtx<'_>);
-
-    /// Cumulative surrogate-cache counters, if this allocator keeps any.
-    /// Only [`crate::surrogate::SurrogateMaxMin`] returns `Some`; the exact
-    /// allocators report `None` and the probe layer stays silent.
-    fn surrogate_stats(&self) -> Option<crate::surrogate::SurrogateStats> {
-        None
-    }
-
-    /// Set the online-validation cadence (validate every Nth prediction;
-    /// `0` disables validation, `1` validates everything). A no-op for the
-    /// exact allocators.
-    fn set_validate_every(&mut self, every: u32) {
-        let _ = every;
-    }
-
-    /// Export the allocator's shareable memo state for a cross-run
-    /// artifact cache. Only [`crate::surrogate::SurrogateMaxMin`] has one
-    /// (its canonical-shape cache); the exact allocators return `None`.
-    fn export_memo(&self) -> Option<crate::surrogate::SurrogateSeed> {
-        None
-    }
-
-    /// Warm the allocator from a previously exported memo. Returns whether
-    /// the allocator accepted the seed; the exact allocators ignore it and
-    /// return `false`.
-    fn seed_memo(&mut self, seed: &crate::surrogate::SurrogateSeed) -> bool {
-        let _ = seed;
-        false
-    }
 }
 
 /// Shared core: progressive filling over one set of flows.
@@ -203,7 +169,7 @@ pub(crate) struct Fill<'a> {
 impl Fill<'_> {
     /// Run progressive filling. `flows[i] = (path, demand)`; returns rates
     /// per flow plus the set of links touched (in first-crossed order).
-    pub(crate) fn run(&mut self, flows: &[(crate::path::PathId, f64)]) -> (Vec<f64>, Vec<usize>) {
+    pub(crate) fn run(&mut self, flows: &[(PathId, f64)]) -> (Vec<f64>, Vec<usize>) {
         let n = flows.len();
         let nlinks = self.links.len();
         self.free.resize(nlinks, 0.0);
@@ -340,14 +306,15 @@ fn uf_find(parent: &mut [u32], stamp: &mut [u64], epoch: u64, x: u32) -> u32 {
     root
 }
 
-/// The shared solver: partition `flows` into connected components of the
-/// flow↔link sharing graph and run [`Fill`] on each component separately.
+/// The shared solver: fill connected components of the flow↔link sharing
+/// graph with [`Fill`], one at a time, with reused scratch.
 ///
-/// `flows[i] = (path, demand)` in ascending flow-id order (preserved within
-/// each component). Returns rates per flow plus every link used. Both
-/// allocators route through this, which is what makes their results
-/// bitwise identical: a component's filling arithmetic sees exactly the
-/// same operands in the same order no matter which flows outside it exist.
+/// [`ComponentFill::run`] partitions a whole flow set itself (the dense
+/// solver); [`ComponentFill::fill_component`] takes one component the
+/// caller already isolated (the incremental solver). Both run the same
+/// per-component arithmetic, which is what makes the two allocators'
+/// results bitwise identical: a component's filling sees exactly the same
+/// operands in the same order no matter which flows outside it exist.
 #[derive(Default)]
 pub(crate) struct ComponentFill {
     free: Vec<f64>,
@@ -367,7 +334,7 @@ impl ComponentFill {
         &mut self,
         nlinks: usize,
         paths: &PathInterner,
-        flows: &[(crate::path::PathId, f64)],
+        flows: &[(PathId, f64)],
     ) -> Vec<Vec<usize>> {
         self.epoch += 1;
         let epoch = self.epoch;
@@ -403,12 +370,12 @@ impl ComponentFill {
         &mut self,
         links: &[LinkState],
         paths: &PathInterner,
-        flows: &[(crate::path::PathId, f64)],
+        flows: &[(PathId, f64)],
     ) -> (Vec<f64>, Vec<usize>) {
         let groups = self.partition(links.len(), paths, flows);
         let mut rate = vec![0.0f64; flows.len()];
         let mut all_links: Vec<usize> = Vec::new();
-        let mut comp: Vec<(crate::path::PathId, f64)> = Vec::new();
+        let mut comp: Vec<(PathId, f64)> = Vec::new();
         for idxs in &groups {
             comp.clear();
             comp.extend(idxs.iter().map(|&i| flows[i]));
@@ -429,14 +396,14 @@ impl ComponentFill {
 
     /// Fill one pre-isolated component (all `flows` share one true
     /// component) with this solver's scratch, returning its rates. This is
-    /// exactly the arithmetic one [`ComponentFill::run`] group performs —
-    /// the surrogate allocator's miss path and validator route through it,
-    /// so its rates are bitwise-equal to the incremental solver's.
+    /// exactly the arithmetic one [`ComponentFill::run`] group performs, so
+    /// the incremental allocator, which finds its components itself, gets
+    /// rates bitwise-equal to the dense solver's.
     pub(crate) fn fill_component(
         &mut self,
         links: &[LinkState],
         paths: &PathInterner,
-        flows: &[(crate::path::PathId, f64)],
+        flows: &[(PathId, f64)],
     ) -> Vec<f64> {
         Fill {
             links,
@@ -460,7 +427,7 @@ impl ComponentFill {
 pub(crate) fn refresh_link_aggregates_rows(
     ctx: &mut AllocCtx<'_>,
     link_indices: &[usize],
-    flows: &[(crate::path::PathId, f64)],
+    flows: &[(PathId, f64)],
     rate: &[f64],
 ) {
     for &li in link_indices {
@@ -494,15 +461,46 @@ pub(crate) fn refresh_link_aggregates_rows(
     }
 }
 
-/// Merge `touched` links into the hot set and drop entries that neither
-/// carry flows nor hold queue.
-pub(crate) fn refresh_hot(ctx: &mut AllocCtx<'_>, touched: &[usize]) {
-    ctx.hot_links.extend(touched.iter().map(|&l| l as u32));
-    ctx.hot_links.sort_unstable();
-    ctx.hot_links.dedup();
-    let links = &*ctx.links;
-    ctx.hot_links
-        .retain(|&l| links[l as usize].active_flows > 0 || links[l as usize].queue_bits > 0.0);
+/// Bring the hot set up to date after a recompute touched
+/// `touched_sorted` (ascending, deduplicated): add touched links that now
+/// carry flows or hold queue, and drop touched links that do neither.
+///
+/// Untouched hot links are left alone, which is sound: a link leaves the
+/// hot set only when its `active_flows` drops to zero with no standing
+/// queue, and `active_flows` changes only through a recompute's aggregate
+/// refresh — which always lists the link as touched (flow add/remove and
+/// link-state changes all seed the dirty closure with that link). Queue
+/// drain happens in `integrate_to`, which prunes drained links itself.
+///
+/// Steady-state churn (touched links stay hot) costs O(touched · log hot)
+/// binary searches and never writes the hot vector, instead of an
+/// O(hot log hot) merge-and-sort per recompute.
+pub(crate) fn update_hot(ctx: &mut AllocCtx<'_>, touched_sorted: &[usize], scratch: &mut Vec<u32>) {
+    scratch.clear();
+    let mut any_dead = false;
+    {
+        let links = &*ctx.links;
+        let hot = &*ctx.hot_links;
+        for &li in touched_sorted {
+            let l = &links[li];
+            let qualifies = l.active_flows > 0 || l.queue_bits > 0.0;
+            let present = hot.binary_search(&(li as u32)).is_ok();
+            if qualifies && !present {
+                scratch.push(li as u32);
+            } else if !qualifies && present {
+                any_dead = true;
+            }
+        }
+    }
+    if !scratch.is_empty() {
+        ctx.hot_links.extend_from_slice(scratch);
+        ctx.hot_links.sort_unstable();
+    }
+    if any_dead {
+        let links = &*ctx.links;
+        ctx.hot_links
+            .retain(|&l| links[l as usize].active_flows > 0 || links[l as usize].queue_bits > 0.0);
+    }
 }
 
 /// The from-scratch progressive-filling solver.
@@ -517,7 +515,8 @@ pub(crate) fn refresh_hot(ctx: &mut AllocCtx<'_>, touched: &[usize]) {
 #[derive(Default)]
 pub struct DenseMaxMin {
     solver: ComponentFill,
-    scratch_flows: Vec<(crate::path::PathId, f64)>,
+    scratch_flows: Vec<(PathId, f64)>,
+    hot_scratch: Vec<u32>,
 }
 
 impl RateAllocator for DenseMaxMin {
@@ -547,142 +546,77 @@ impl RateAllocator for DenseMaxMin {
         touched.sort_unstable();
         touched.dedup();
         refresh_link_aggregates_rows(ctx, &touched, &self.scratch_flows, &rate);
-        refresh_hot(ctx, &touched);
+        update_hot(ctx, &touched, &mut self.hot_scratch);
         let n = ctx.flows.len();
         ctx.scope.record(n, touched.len(), n);
     }
 }
 
-/// One closure problem row: `(flow id, path, demand_bps)`.
-pub(crate) type ProblemRow = (u64, crate::path::PathId, f64);
-
-/// Shared bookkeeping for the component-scoped allocators: per-link flow
-/// membership, the dirty-seed list, and the BFS closure over the
-/// flow↔link sharing graph. [`IncrementalMaxMin`] and
-/// [`crate::surrogate::SurrogateMaxMin`] differ only in how they *solve*
-/// the closure this core computes.
+/// Component-scoped max-min: recomputes only flows/links reachable from
+/// the perturbed elements through shared links.
+///
+/// Maintains per-link flow membership (updated O(path) per flow event) and
+/// a seed list of perturbed links. `recompute` BFSes the flow↔link sharing
+/// graph from the seeds one wave per true connected component, fills each
+/// component with the exact per-component arithmetic, and leaves
+/// everything else untouched — rates outside the perturbed components are
+/// not even rewritten, so they are bitwise stable across unrelated
+/// perturbations.
 #[derive(Default)]
-pub(crate) struct IncrementalCore {
+pub struct IncrementalMaxMin {
     /// Per link: `(flow id, path, demand)` of flows crossing it, with
     /// multiplicity for repeated path entries (mirrors the fill's
     /// per-occurrence share accounting). Carrying the problem row alongside
-    /// the id means [`IncrementalCore::closure`] never touches the flow
-    /// arena: everything a recompute solves over comes straight out of this
-    /// membership table.
-    members: Vec<Vec<(u64, crate::path::PathId, f64)>>,
+    /// the id means the closure never touches the flow arena: everything a
+    /// recompute solves over comes straight out of this membership table.
+    members: Vec<Vec<(u64, PathId, f64)>>,
     /// Links perturbed since the last recompute (seeds; may repeat).
     dirty: Vec<u32>,
     /// BFS visit stamps per link, keyed by epoch (no per-event clearing).
     link_mark: Vec<u64>,
     epoch: u64,
-    /// Reusable BFS queue scratch.
+    solver: ComponentFill,
+    /// Per-recompute scratch, kept across recomputes: the BFS queue, the
+    /// closure's rows, links and group bounds (see [`Self::closure`]), the
+    /// rows' `(path, demand)` problem and rates, and hot-set additions.
     queue: Vec<usize>,
+    rows: Vec<(u64, PathId, f64)>,
+    comp_links: Vec<usize>,
+    bounds: Vec<usize>,
+    problem: Vec<(PathId, f64)>,
+    rate: Vec<f64>,
+    hot_scratch: Vec<u32>,
 }
 
-impl IncrementalCore {
-    pub(crate) fn on_link_added(&mut self) {
-        self.members.push(Vec::new());
-        self.link_mark.push(0);
-    }
-
-    pub(crate) fn on_flow_added(&mut self, id: u64, spec: &FlowSpec, path: &[LinkId]) {
-        for l in path {
-            self.members[l.0 as usize].push((id, spec.path, spec.demand_bps));
-            self.dirty.push(l.0);
-        }
-    }
-
-    pub(crate) fn on_flow_removed(&mut self, id: u64, path: &[LinkId]) {
-        for l in path {
-            let m = &mut self.members[l.0 as usize];
-            let pos = m
-                .iter()
-                .position(|&(fid, _, _)| fid == id)
-                .expect("removed flow was a member of its links");
-            m.swap_remove(pos);
-            self.dirty.push(l.0);
-        }
-    }
-
-    pub(crate) fn on_link_changed(&mut self, link: LinkId) {
-        self.dirty.push(link.0);
-    }
-
-    pub(crate) fn is_clean(&self) -> bool {
-        self.dirty.is_empty()
-    }
-
-    /// BFS closure over the flow↔link sharing graph from the dirty seeds.
-    /// Returns the perturbed flows as full `(id, path, demand)` problem
-    /// rows (ascending-id order, matching the dense solver's freeze order)
-    /// and the perturbed links (unsorted). Runs entirely over the
-    /// membership table — no flow-arena lookups.
+impl IncrementalMaxMin {
+    /// BFS closure over the flow↔link sharing graph from the dirty seeds,
+    /// grouped by true connected component. Each dirty seed that is still
+    /// unvisited starts one BFS wave, and a wave can only reach its own
+    /// component, so draining the queue per seed yields one group per
+    /// component — no second connectivity pass over the rows. Runs entirely
+    /// over the membership table — no flow-arena lookups.
+    ///
+    /// Fills `rows` with the perturbed flows' `(id, path, demand)` rows,
+    /// `comp_links` with the perturbed links (unsorted), and `bounds` so
+    /// that `bounds[g]..bounds[g + 1]` is group `g`'s row range. Within a
+    /// group rows ascend by id, the dense solver's freeze order. Seeds with
+    /// no member flows (e.g. a link whose last flow just left) contribute
+    /// their links but no group.
     ///
     /// Flow dedup rides on the sort the rows need anyway: the BFS collects
     /// one row per member *occurrence* (a flow appears once per visited
-    /// link it crosses) and a sort + dedup-by-id collapses them. That is
-    /// cheaper than a hash-set membership probe per occurrence, and path
-    /// expansion stays idempotent through the link visit stamps.
-    pub(crate) fn closure(&mut self, paths: &PathInterner) -> (Vec<ProblemRow>, Vec<usize>) {
+    /// link it crosses) and a per-group sort + dedup-by-id collapses them.
+    fn closure(&mut self, paths: &PathInterner) {
         self.epoch += 1;
         let epoch = self.epoch;
-        let mut queue = std::mem::take(&mut self.queue);
+        let (queue, rows) = (&mut self.queue, &mut self.rows);
         queue.clear();
-        for l in self.dirty.drain(..) {
+        rows.clear();
+        self.comp_links.clear();
+        self.bounds.clear();
+        self.bounds.push(0);
+        for &l in &self.dirty {
             let li = l as usize;
-            if self.link_mark[li] != epoch {
-                self.link_mark[li] = epoch;
-                queue.push(li);
-            }
-        }
-        let mut comp_links: Vec<usize> = Vec::new();
-        let mut rows: Vec<(u64, crate::path::PathId, f64)> = Vec::new();
-        while let Some(li) = queue.pop() {
-            comp_links.push(li);
-            for &(fid, path, demand) in &self.members[li] {
-                rows.push((fid, path, demand));
-                for l in paths.get(path) {
-                    let lj = l.0 as usize;
-                    if self.link_mark[lj] != epoch {
-                        self.link_mark[lj] = epoch;
-                        queue.push(lj);
-                    }
-                }
-            }
-        }
-        rows.sort_unstable_by_key(|&(id, _, _)| id);
-        rows.dedup_by_key(|&mut (id, _, _)| id);
-        self.queue = queue;
-        (rows, comp_links)
-    }
-
-    /// Like [`Self::closure`], but additionally reports the row ranges of
-    /// the closure's *true* connected components, sparing the caller a
-    /// second connectivity pass over the rows. Each dirty seed that is
-    /// still unvisited starts one BFS wave, and a wave can only reach its
-    /// own component, so draining the queue per seed yields one group per
-    /// component. Rows are sorted and deduped per group (a flow's
-    /// occurrences never cross groups); within a group they are ascending
-    /// by id, matching [`Self::closure`]'s order link-for-link.
-    ///
-    /// Returns `(rows, comp_links, bounds)` where `bounds[g]` is the row
-    /// range `bounds[g]..bounds[g + 1]` of group `g`. Seeds with no member
-    /// flows (e.g. a link whose last flow just left) contribute their links
-    /// but no group.
-    pub(crate) fn closure_grouped(
-        &mut self,
-        paths: &PathInterner,
-    ) -> (Vec<ProblemRow>, Vec<usize>, Vec<usize>) {
-        self.epoch += 1;
-        let epoch = self.epoch;
-        let mut queue = std::mem::take(&mut self.queue);
-        queue.clear();
-        let mut comp_links: Vec<usize> = Vec::new();
-        let mut rows: Vec<(u64, crate::path::PathId, f64)> = Vec::new();
-        let mut bounds: Vec<usize> = vec![0];
-        let seeds = std::mem::take(&mut self.dirty);
-        for l in &seeds {
-            let li = *l as usize;
             if self.link_mark[li] == epoch {
                 continue;
             }
@@ -690,7 +624,7 @@ impl IncrementalCore {
             queue.push(li);
             let start = rows.len();
             while let Some(lj) = queue.pop() {
-                comp_links.push(lj);
+                self.comp_links.push(lj);
                 for &(fid, path, demand) in &self.members[lj] {
                     rows.push((fid, path, demand));
                     for lk in paths.get(path) {
@@ -714,30 +648,11 @@ impl IncrementalCore {
             }
             rows.truncate(w);
             if rows.len() > start {
-                bounds.push(rows.len());
+                self.bounds.push(rows.len());
             }
         }
-        let mut seeds = seeds;
-        seeds.clear();
-        self.dirty = seeds;
-        self.queue = queue;
-        (rows, comp_links, bounds)
+        self.dirty.clear();
     }
-}
-
-/// Component-scoped max-min: recomputes only flows/links reachable from
-/// the perturbed element through shared links.
-///
-/// Maintains per-link flow membership (updated O(path) per flow event) and
-/// a seed list of perturbed links. `recompute` BFSes the flow↔link sharing
-/// graph from the seeds, runs progressive filling on the resulting closed
-/// component, and leaves everything else untouched — rates outside the
-/// component are not even rewritten, so they are bitwise stable across
-/// unrelated perturbations.
-#[derive(Default)]
-pub struct IncrementalMaxMin {
-    core: IncrementalCore,
-    solver: ComponentFill,
 }
 
 impl RateAllocator for IncrementalMaxMin {
@@ -746,41 +661,72 @@ impl RateAllocator for IncrementalMaxMin {
     }
 
     fn on_link_added(&mut self, _link: LinkId) {
-        self.core.on_link_added();
+        self.members.push(Vec::new());
+        self.link_mark.push(0);
     }
 
     fn on_flow_added(&mut self, id: u64, spec: &FlowSpec, path: &[LinkId]) {
-        self.core.on_flow_added(id, spec, path);
+        for l in path {
+            self.members[l.0 as usize].push((id, spec.path, spec.demand_bps));
+            self.dirty.push(l.0);
+        }
     }
 
     fn on_flow_removed(&mut self, id: u64, path: &[LinkId]) {
-        self.core.on_flow_removed(id, path);
+        for l in path {
+            let m = &mut self.members[l.0 as usize];
+            let pos = m
+                .iter()
+                .position(|&(fid, _, _)| fid == id)
+                .expect("removed flow was a member of its links");
+            m.swap_remove(pos);
+            self.dirty.push(l.0);
+        }
     }
 
     fn on_link_changed(&mut self, link: LinkId) {
-        self.core.on_link_changed(link);
+        self.dirty.push(link.0);
     }
 
     fn recompute(&mut self, ctx: &mut AllocCtx<'_>) {
         let total_flows = ctx.flows.len();
-        if self.core.is_clean() {
+        if self.dirty.is_empty() {
             ctx.scope.record(0, 0, total_flows);
             return;
         }
-        let (rows, mut comp_links) = self.core.closure(ctx.paths);
-        let flows: Vec<(crate::path::PathId, f64)> = rows.iter().map(|&(_, p, d)| (p, d)).collect();
-        // The BFS set may span several true components (e.g. seeds in two
-        // unrelated components batched into one recompute, or a removed
-        // flow that had bridged two); ComponentFill re-partitions so each
-        // is filled with the exact arithmetic the dense solver uses.
-        let (rate, _active) = self.solver.run(ctx.links, ctx.paths, &flows);
-        ctx.flows
-            .set_rates_ascending(rows.iter().map(|&(id, _, _)| id), &rate);
+        self.closure(ctx.paths);
+        let IncrementalMaxMin {
+            solver,
+            rows,
+            comp_links,
+            bounds,
+            problem,
+            rate,
+            hot_scratch,
+            ..
+        } = self;
+        problem.clear();
+        problem.extend(rows.iter().map(|&(_, p, d)| (p, d)));
+        rate.clear();
+        rate.resize(problem.len(), 0.0);
+        // Each group is one true component, filled on its own with exactly
+        // the arithmetic the dense solver's union-find partition gives it.
+        for g in bounds.windows(2) {
+            let (a, b) = (g[0], g[1]);
+            let r = solver.fill_component(ctx.links, ctx.paths, &problem[a..b]);
+            rate[a..b].copy_from_slice(&r);
+            // Group-major writeback: ids ascend within each group, and the
+            // gallop restarts per group.
+            ctx.flows
+                .set_rates_ascending(rows[a..b].iter().map(|&(id, _, _)| id), &rate[a..b]);
+        }
         // Aggregates refresh over ALL component links — including seeds
-        // whose last flow just left, which must read as idle again.
+        // whose last flow just left, which must read as idle again. Each
+        // link lies in one group, so its sums see that group's ascending
+        // ids in the dense solver's order.
         comp_links.sort_unstable();
-        refresh_link_aggregates_rows(ctx, &comp_links, &flows, &rate);
-        refresh_hot(ctx, &comp_links);
+        refresh_link_aggregates_rows(ctx, comp_links, problem, rate);
+        update_hot(ctx, comp_links, hot_scratch);
         ctx.scope.record(rows.len(), comp_links.len(), total_flows);
     }
 }
@@ -856,8 +802,9 @@ pub(crate) mod tests {
             "the parallel alias builds the incremental allocator"
         );
         assert_eq!(
-            crate::surrogate::SurrogateMaxMin::default().kind(),
-            AllocatorKind::Surrogate
+            AllocatorKind::Surrogate.build().kind(),
+            AllocatorKind::Incremental,
+            "the retired memo alias builds the incremental allocator"
         );
         assert_eq!(AllocatorKind::default(), AllocatorKind::Incremental);
     }
@@ -928,17 +875,14 @@ pub(crate) mod tests {
 
     #[test]
     fn names_round_trip() {
-        for kind in [
-            AllocatorKind::Dense,
-            AllocatorKind::Incremental,
-            AllocatorKind::Surrogate,
-        ] {
+        for kind in [AllocatorKind::Dense, AllocatorKind::Incremental] {
             assert_eq!(AllocatorKind::from_name(kind.name()), Some(kind));
         }
         assert_eq!(
             AllocatorKind::from_name("parallel").map(AllocatorKind::name),
             Some("incremental")
         );
+        assert_eq!(AllocatorKind::Surrogate.name(), "incremental");
         assert_eq!(AllocatorKind::from_name("bogus"), None);
     }
 }

@@ -32,7 +32,6 @@ use crate::path::{PathId, PathInterner};
 use crate::probe::NetProbe;
 use crate::sketch::QuantileSketch;
 use crate::stats::RecomputeScope;
-use crate::surrogate::SurrogateStats;
 use crate::tail::{LinkView, TailEstimator};
 use crate::time::SimTime;
 
@@ -159,15 +158,24 @@ pub struct FlowNet {
     hot_links: Vec<u32>,
     allocator: Box<dyn RateAllocator>,
     scope: RecomputeScope,
-    /// Last observed surrogate-cache counters, for per-recompute probe
-    /// deltas (all-zero for the exact allocators).
-    last_surrogate: SurrogateStats,
     probe: Option<Box<dyn NetProbe + Send>>,
     estimator: Option<Box<dyn TailEstimator>>,
     /// Streaming sketch of completed-flow FCTs (seconds). Always on — one
     /// log-bucket update per completion — so figures and oracles can read
     /// tail quantiles without pre-arranging instrumentation.
     fct: QuantileSketch,
+}
+
+/// The counters [`FlowNet::surrogate_stats`] is typed by. No value is
+/// ever produced: the type exists only so that alias keeps its signature.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Memo lookups.
+    pub lookups: u64,
+    /// Lookups answered from the memo.
+    pub hits: u64,
+    /// Memo answers that disagreed with the exact solver.
+    pub mismatches: u64,
 }
 
 impl Default for FlowNet {
@@ -205,7 +213,6 @@ impl FlowNet {
             hot_links: Vec::new(),
             allocator,
             scope: RecomputeScope::default(),
-            last_surrogate: SurrogateStats::default(),
             probe: None,
             estimator: None,
             fct: QuantileSketch::default(),
@@ -565,49 +572,14 @@ impl FlowNet {
             if let Some(p) = self.probe.as_mut() {
                 let d = self.scope.since(&before);
                 p.rate_recompute(self.clock, d.flows_touched, d.links_touched, d.flows_active);
-                if let Some(stats) = self.allocator.surrogate_stats() {
-                    let ds = stats.since(&self.last_surrogate);
-                    if ds.lookups > 0 || ds.mismatches > 0 {
-                        p.surrogate_cache(
-                            self.clock,
-                            ds.lookups,
-                            ds.misses,
-                            ds.validations,
-                            ds.mismatches,
-                        );
-                    }
-                    self.last_surrogate = stats;
-                }
             }
         }
     }
 
-    /// Cumulative surrogate-cache counters, when the allocator is
-    /// [`AllocatorKind::Surrogate`] (`None` for the exact allocators).
-    pub fn surrogate_stats(&self) -> Option<SurrogateStats> {
-        self.allocator.surrogate_stats()
-    }
-
-    /// Set the surrogate allocator's online-validation cadence (validate
-    /// every Nth prediction; `0` = never, `1` = always). A no-op for the
-    /// exact allocators.
-    pub fn set_surrogate_validate_every(&mut self, every: u32) {
-        self.allocator.set_validate_every(every);
-    }
-
-    /// Export the allocator's shareable memo (the surrogate's
-    /// canonical-shape cache), if it keeps one.
-    pub fn export_surrogate_memo(&self) -> Option<crate::surrogate::SurrogateSeed> {
-        self.allocator.export_memo()
-    }
-
-    /// Warm the allocator from a previously exported memo. Returns whether
-    /// the allocator accepted it (`false` for the exact allocators).
-    /// Warm-memo hits change the surrogate's hit/miss telemetry — they are
-    /// honest about inherited state — so callers that require cold-vs-warm
-    /// byte identity under the surrogate allocator must not seed.
-    pub fn seed_surrogate_memo(&mut self, seed: &crate::surrogate::SurrogateSeed) -> bool {
-        self.allocator.seed_memo(seed)
+    /// Inert alias, kept because external benchmark code reads it: no
+    /// allocator memoizes rates, so this always returns `None`.
+    pub fn surrogate_stats(&self) -> Option<MemoStats> {
+        None
     }
 
     /// Apply progress/queues from `clock` to `now` using current rates.
@@ -1033,11 +1005,7 @@ mod tests {
 
     #[test]
     fn both_allocators_agree_on_parking_lot() {
-        for kind in [
-            AllocatorKind::Dense,
-            AllocatorKind::Incremental,
-            AllocatorKind::Surrogate,
-        ] {
+        for kind in [AllocatorKind::Dense, AllocatorKind::Incremental] {
             let mut net = FlowNet::with_allocator(kind);
             let l0 = net.add_link(100.0 * GBPS, f64::INFINITY);
             let l1 = net.add_link(50.0 * GBPS, f64::INFINITY);

@@ -1,12 +1,12 @@
-//! A minimal Fx-style multiplicative hasher for internal memo maps.
+//! A minimal Fx-style multiplicative hasher for internal hash maps.
 //!
-//! The surrogate allocator's memo keys are multi-kilobyte `Vec<u64>`
-//! problem serializations hashed on every cache probe; the standard
-//! library's SipHash processes them at ~1 byte/cycle, which shows up as
-//! tens of microseconds per recompute. This is the rustc `FxHasher`
-//! recurrence (rotate, xor, multiply — one multiply per word), which is not
-//! DoS-resistant and must not be used for attacker-controlled keys; memo
-//! keys derived from the simulation's own state are fine.
+//! The dense allocator's component partition keys a map by link id on
+//! every recompute; the standard library's SipHash trades speed for
+//! resistance to adversarial keys, which simulation-internal keys do not
+//! need. This is the rustc `FxHasher` recurrence (rotate, xor, multiply —
+//! one multiply per word), which is not DoS-resistant and must not be used
+//! for attacker-controlled keys; keys derived from the simulation's own
+//! state are fine.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

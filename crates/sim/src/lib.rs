@@ -12,9 +12,7 @@
 //!   flow-completion tracking. Rate allocation sits behind the
 //!   [`RateAllocator`] trait: the default [`alloc::IncrementalMaxMin`]
 //!   recomputes only the perturbed bottleneck component per event, while
-//!   [`alloc::DenseMaxMin`] re-solves every flow and serves as the oracle,
-//!   and [`SurrogateMaxMin`] memoizes exact per-component rates by
-//!   canonical shape.
+//!   [`alloc::DenseMaxMin`] re-solves every flow and serves as the oracle.
 //!   Flow paths are interned ([`PathId`]/[`PathInterner`]) so specs carry a
 //!   4-byte handle instead of a link vector,
 //! * [`SplitMix64`] / [`Xoshiro256`] — small, dependency-free deterministic
@@ -48,7 +46,6 @@ pub mod rng;
 pub mod series;
 pub mod sketch;
 pub mod stats;
-pub mod surrogate;
 pub mod tail;
 pub mod time;
 pub mod units;
@@ -56,13 +53,12 @@ pub mod units;
 pub use alloc::{AllocatorKind, RateAllocator};
 pub use arena::{Flow, FlowArena};
 pub use engine::{Engine, EventId};
-pub use flownet::{FlowHandle, FlowNet, FlowSpec, LinkId, LinkState};
+pub use flownet::{FlowHandle, FlowNet, FlowSpec, LinkId, LinkState, MemoStats};
 pub use path::{PathId, PathInterner, PathSet};
 pub use probe::NetProbe;
 pub use rng::{label_hash, split_seed, SplitMix64, StreamSeed, Xoshiro256};
 pub use series::TimeSeries;
 pub use sketch::QuantileSketch;
 pub use stats::RecomputeScope;
-pub use surrogate::{SurrogateConfig, SurrogateMaxMin, SurrogateSeed, SurrogateStats};
 pub use tail::{LinkDecompositionEstimator, LinkView, TailEstimator};
 pub use time::{SimDuration, SimTime};

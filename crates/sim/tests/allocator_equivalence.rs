@@ -1,6 +1,6 @@
-//! Equivalence suite: the incremental and surrogate allocators must
-//! produce the same max-min rates as the dense reference oracle under
-//! arbitrary flow churn and link perturbations.
+//! Equivalence suite: the incremental allocator must produce the same
+//! max-min rates as the dense reference oracle under arbitrary flow churn
+//! and link perturbations.
 //!
 //! Within one bottleneck component the two solvers perform identical
 //! arithmetic, but when several components are live the dense solver
@@ -153,9 +153,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The tentpole acceptance property: random add/remove/capacity
-    /// sequences through every allocator (dense, incremental, and the
-    /// surrogate at its default validation cadence) produce rates that
-    /// agree bitwise after every single event.
+    /// sequences through both allocators produce rates that agree after
+    /// every single event.
     #[test]
     fn incremental_matches_dense_oracle(
         caps in proptest::collection::vec(1u64..=400, 2..7),
@@ -173,16 +172,12 @@ proptest! {
         let ops = ops.generate(&mut rng);
         let mut dense = Driver::new(AllocatorKind::Dense, &caps);
         let mut incr = Driver::new(AllocatorKind::Incremental, &caps);
-        let mut surr = Driver::new(AllocatorKind::Surrogate, &caps);
         for (step, op) in ops.iter().enumerate() {
             dense.apply(op);
             incr.apply(op);
-            surr.apply(op);
             let rd = dense.rates();
             let ri = incr.rates();
             assert_rates_agree(&rd, &ri, &format!("after step {step} ({op:?})"))?;
-            let rs = surr.rates();
-            assert_rates_agree(&ri, &rs, &format!("surrogate after step {step} ({op:?})"))?;
         }
         // Feasibility cross-check: the incremental allocator never
         // oversubscribes. (Link aggregates refresh on recompute; flush the

@@ -8,8 +8,7 @@
 //! * **Where does randomness come from?** An optional root seed, split
 //!   per call site with [`hpn_sim::split_seed`] (replaces the experiment
 //!   harness's thread-local `SweepScope`).
-//! * **Which rate allocator runs?** An [`AllocatorKind`] plus the
-//!   surrogate allocator's validation cadence.
+//! * **Which rate allocator runs?** An [`AllocatorKind`].
 //!
 //! A `SimCtx` is constructed once per session — by the experiment runner
 //! for each cell, by a test for itself — and threaded **explicitly**
@@ -21,10 +20,9 @@
 //! hold this invariant).
 //!
 //! The default context is inert: null recorder, no root seed (call sites
-//! fall back to their fixed per-site seeds), the incremental allocator and
-//! validation cadence 64. Library crates read no environment; the
-//! `hpn-experiments` binary parses `HPN_ALLOCATOR` and `--validate-every`
-//! once into a base context that every cell derives from.
+//! fall back to their fixed per-site seeds) and the incremental allocator.
+//! Library crates read no environment; the `hpn-experiments` binary parses
+//! `HPN_ALLOCATOR` once into a base context that every cell derives from.
 
 use hpn_sim::{split_seed, AllocatorKind};
 
@@ -37,18 +35,16 @@ pub struct SimCtx {
     recorder: SharedRecorder,
     root_seed: Option<u64>,
     allocator: AllocatorKind,
-    validate_every: u32,
 }
 
 impl Default for SimCtx {
-    /// Null recorder, no sweep root, the default (incremental) allocator
-    /// and the surrogate's default validation cadence (64).
+    /// Null recorder, no sweep root and the default (incremental)
+    /// allocator.
     fn default() -> Self {
         SimCtx {
             recorder: SharedRecorder::null(),
             root_seed: None,
             allocator: AllocatorKind::default(),
-            validate_every: hpn_sim::SurrogateConfig::default().validate_every,
         }
     }
 }
@@ -79,15 +75,6 @@ impl SimCtx {
         self
     }
 
-    /// Pin the surrogate allocator's online-validation cadence (validate
-    /// every Nth cache hit; `0` = never, `1` = always) instead of the
-    /// default 64. Only meaningful when the allocator is
-    /// [`AllocatorKind::Surrogate`].
-    pub fn with_validate_every(mut self, every: u32) -> Self {
-        self.validate_every = every;
-        self
-    }
-
     /// The recorder sessions built from this context emit into.
     pub fn recorder(&self) -> &SharedRecorder {
         &self.recorder
@@ -101,11 +88,6 @@ impl SimCtx {
     /// Which rate allocator sessions built from this context run.
     pub fn allocator(&self) -> AllocatorKind {
         self.allocator
-    }
-
-    /// The surrogate allocator's online-validation cadence.
-    pub fn validate_every(&self) -> u32 {
-        self.validate_every
     }
 
     /// The seed a call site with fixed identity `site` should use: split
@@ -139,7 +121,6 @@ mod tests {
         assert!(!ctx.recorder().enabled());
         assert_eq!(ctx.root_seed(), None);
         assert_eq!(ctx.allocator(), AllocatorKind::Incremental);
-        assert_eq!(ctx.validate_every(), 64);
         // No root: call sites keep their fixed seeds.
         assert_eq!(ctx.seed_for(42), 42);
     }
@@ -170,11 +151,9 @@ mod tests {
                 buf.clone(),
             ))))
             .with_root_seed(3)
-            .with_allocator(AllocatorKind::Surrogate)
-            .with_validate_every(1);
+            .with_allocator(AllocatorKind::Dense);
         assert!(ctx.recorder().enabled());
-        assert_eq!(ctx.allocator(), AllocatorKind::Surrogate);
-        assert_eq!(ctx.validate_every(), 1);
+        assert_eq!(ctx.allocator(), AllocatorKind::Dense);
         let clone = ctx.clone();
         clone
             .recorder()

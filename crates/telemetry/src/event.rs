@@ -8,6 +8,11 @@
 
 use hpn_sim::SimTime;
 
+/// Version of the JSONL event schema, written into every `sim_start`
+/// record. Bump it whenever an event kind or field is added, renamed or
+/// removed; EXPERIMENTS.md lists the kinds of each version.
+pub const EVENT_SCHEMA: u32 = 3;
+
 /// One telemetry event. Integer ids are the simulator's own handles:
 /// `flow` is the [`hpn_sim::FlowHandle`] counter, `link` a
 /// [`hpn_sim::LinkId`] index into the fluid net, `rlink` a routing-layer
@@ -16,7 +21,8 @@ use hpn_sim::SimTime;
 #[derive(Clone, Debug, PartialEq)]
 pub enum Event {
     /// A new simulation (run segment) attached to the recorder. Resets the
-    /// monotonic-clock expectation of sinks.
+    /// monotonic-clock expectation of sinks. Its JSONL record also carries
+    /// `"schema"`: the [`EVENT_SCHEMA`] version of the stream that follows.
     SimStart {
         /// Label identifying the segment (e.g. the experiment id).
         label: String,
@@ -136,29 +142,6 @@ pub enum Event {
         /// Repaired element: routing link index or ToR node id.
         target: u32,
     },
-    /// The surrogate allocator's cache activity during one rate recompute
-    /// (deltas of that recompute). Fired whenever the surrogate served
-    /// lookups, hits included, so the registry can account
-    /// hit/miss/validation rates.
-    SurrogateCache {
-        /// Simulated time in nanoseconds.
-        t_ns: u64,
-        /// Component predictions served in this recompute.
-        lookups: u64,
-        /// Predictions that missed the cache (exact-fill solves).
-        misses: u64,
-        /// Cache hits re-solved exactly for online validation.
-        validations: u64,
-    },
-    /// An online validation caught the surrogate disagreeing bitwise with
-    /// the exact solver; the poisoned cache entry was evicted and the
-    /// exact rates used.
-    SurrogateMismatch {
-        /// Simulated time in nanoseconds.
-        t_ns: u64,
-        /// Mismatching validations in this recompute.
-        mismatches: u64,
-    },
 }
 
 impl Event {
@@ -177,9 +160,7 @@ impl Event {
             | Event::LinkSample { t_ns, .. }
             | Event::CollectiveStep { t_ns, .. }
             | Event::FaultInject { t_ns, .. }
-            | Event::FaultRepair { t_ns, .. }
-            | Event::SurrogateCache { t_ns, .. }
-            | Event::SurrogateMismatch { t_ns, .. } => t_ns,
+            | Event::FaultRepair { t_ns, .. } => t_ns,
         }
     }
 
@@ -204,8 +185,6 @@ impl Event {
             Event::CollectiveStep { .. } => "collective_step",
             Event::FaultInject { .. } => "fault_inject",
             Event::FaultRepair { .. } => "fault_repair",
-            Event::SurrogateCache { .. } => "surrogate_cache",
-            Event::SurrogateMismatch { .. } => "surrogate_mismatch",
         }
     }
 
@@ -217,7 +196,7 @@ impl Event {
         s.push('"');
         match self {
             Event::SimStart { label } => {
-                s.push_str(",\"label\":");
+                s.push_str(&format!(",\"schema\":{EVENT_SCHEMA},\"label\":"));
                 s.push_str(&json_str(label));
             }
             Event::FlowAdd {
@@ -299,21 +278,6 @@ impl Event {
                 push_t(&mut s, *t_ns);
                 s.push_str(&format!(",\"kind\":\"{kind}\",\"target\":{target}"));
             }
-            Event::SurrogateCache {
-                t_ns,
-                lookups,
-                misses,
-                validations,
-            } => {
-                push_t(&mut s, *t_ns);
-                s.push_str(&format!(
-                    ",\"lookups\":{lookups},\"misses\":{misses},\"validations\":{validations}"
-                ));
-            }
-            Event::SurrogateMismatch { t_ns, mismatches } => {
-                push_t(&mut s, *t_ns);
-                s.push_str(&format!(",\"mismatches\":{mismatches}"));
-            }
         }
         s.push('}');
         s
@@ -392,7 +356,7 @@ mod tests {
         };
         assert_eq!(
             ev.to_json(),
-            "{\"ev\":\"sim_start\",\"label\":\"a\\\"b\\\\c\\nd\\u0001\"}"
+            "{\"ev\":\"sim_start\",\"schema\":3,\"label\":\"a\\\"b\\\\c\\nd\\u0001\"}"
         );
     }
 

@@ -20,44 +20,47 @@ use hpn_bench::gate::{run_gate, FigureStatus, GATE_FIGURES};
 use hpn_bench::runner::{run_plan, variance_json, write_sweep_outputs, RunPlan};
 use hpn_bench::{Scale, SimCtx};
 
+/// Run one medium-fabric training session under `kind`, returning its
+/// iteration end times and its telemetry stream.
+fn session_fingerprint(kind: hpn::sim::AllocatorKind) -> (Vec<u64>, String) {
+    use hpn::collectives::CommConfig;
+    use hpn::core::{placement, TrainingSession};
+    use hpn::routing::HashMode;
+    use hpn::telemetry::{JsonlRecorder, SharedBuf, SharedRecorder};
+    use hpn::topology::HpnConfig;
+    use hpn::transport::ClusterSim;
+    use hpn::workload::{ModelSpec, ParallelismPlan, TrainingJob};
+
+    let buf = SharedBuf::new();
+    let ctx = SimCtx::new()
+        .with_recorder(SharedRecorder::new(Box::new(JsonlRecorder::new(
+            buf.clone(),
+        ))))
+        .with_allocator(kind);
+    let mut cs = ClusterSim::with_ctx(HpnConfig::medium().build(), HashMode::Polarized, &ctx);
+    let rails = cs.fabric.host_params.rails;
+    let hosts = placement::place_segment_first(&cs.fabric, 8).unwrap();
+    let job = TrainingJob::new(
+        ModelSpec::llama_7b(),
+        ParallelismPlan::new(rails, 2, 4),
+        hosts,
+        rails,
+        256,
+    );
+    let mut session = TrainingSession::new(job, CommConfig::hpn_default());
+    session.run_iterations(&mut cs, 3);
+    let nanos = session.records().iter().map(|r| r.end.as_nanos()).collect();
+    (nanos, buf.text())
+}
+
 mod parallel_allocator {
     //! [`AllocatorKind::Parallel`] is an alias of the incremental
     //! allocator: a session selecting it must produce bitwise-identical
     //! telemetry and iteration timings to one selecting
     //! [`AllocatorKind::Incremental`].
 
-    use hpn::collectives::CommConfig;
-    use hpn::core::{placement, TrainingSession};
-    use hpn::routing::HashMode;
+    use super::session_fingerprint;
     use hpn::sim::AllocatorKind;
-    use hpn::telemetry::{JsonlRecorder, SharedBuf, SharedRecorder, SimCtx};
-    use hpn::topology::HpnConfig;
-    use hpn::transport::ClusterSim;
-    use hpn::workload::{ModelSpec, ParallelismPlan, TrainingJob};
-
-    fn session_fingerprint(kind: AllocatorKind) -> (Vec<u64>, String) {
-        let buf = SharedBuf::new();
-        let ctx = SimCtx::new()
-            .with_recorder(SharedRecorder::new(Box::new(JsonlRecorder::new(
-                buf.clone(),
-            ))))
-            .with_allocator(kind);
-        let mut cs = ClusterSim::with_ctx(HpnConfig::medium().build(), HashMode::Polarized, &ctx);
-        assert_eq!(cs.net.allocator_kind(), AllocatorKind::Incremental);
-        let rails = cs.fabric.host_params.rails;
-        let hosts = placement::place_segment_first(&cs.fabric, 8).unwrap();
-        let job = TrainingJob::new(
-            ModelSpec::llama_7b(),
-            ParallelismPlan::new(rails, 2, 4),
-            hosts,
-            rails,
-            256,
-        );
-        let mut session = TrainingSession::new(job, CommConfig::hpn_default());
-        session.run_iterations(&mut cs, 3);
-        let nanos = session.records().iter().map(|r| r.end.as_nanos()).collect();
-        (nanos, buf.text())
-    }
 
     #[test]
     fn parallel_alias_is_byte_identical_to_incremental() {
@@ -75,96 +78,47 @@ mod parallel_allocator {
             telemetry_incr.contains("\"ev\":\"rate_recompute\""),
             "session never exercised the rate allocator"
         );
+        assert!(
+            telemetry_par.contains("alloc=incremental"),
+            "the alias session's SimStart names the allocator that ran"
+        );
     }
 }
 
-mod surrogate_allocator {
-    //! The memoized surrogate allocator's determinism contract: a
-    //! surrogate session is byte-reproducible run-to-run, and its iteration
-    //! timings match the incremental reference exactly — at validation
-    //! cadence 1 and at the default cadence, with zero mismatches.
+mod allocators {
+    //! Session-level determinism of the two allocators: an incremental
+    //! session is byte-reproducible run to run, and a dense session — the
+    //! reference oracle — produces the same iteration timings bit for bit.
 
-    use hpn::collectives::CommConfig;
-    use hpn::core::{placement, TrainingSession};
-    use hpn::routing::HashMode;
+    use super::session_fingerprint;
     use hpn::sim::AllocatorKind;
-    use hpn::telemetry::{JsonlRecorder, SharedBuf, SharedRecorder, SimCtx};
-    use hpn::topology::HpnConfig;
-    use hpn::transport::ClusterSim;
-    use hpn::workload::{ModelSpec, ParallelismPlan, TrainingJob};
-
-    /// Run one medium-fabric training session under an explicit context.
-    fn session_fingerprint(kind: AllocatorKind, validate_every: u32) -> (Vec<u64>, String) {
-        let buf = SharedBuf::new();
-        let ctx = SimCtx::new()
-            .with_recorder(SharedRecorder::new(Box::new(JsonlRecorder::new(
-                buf.clone(),
-            ))))
-            .with_allocator(kind)
-            .with_validate_every(validate_every);
-        let mut cs = ClusterSim::with_ctx(HpnConfig::medium().build(), HashMode::Polarized, &ctx);
-        let rails = cs.fabric.host_params.rails;
-        let hosts = placement::place_segment_first(&cs.fabric, 8).unwrap();
-        let job = TrainingJob::new(
-            ModelSpec::llama_7b(),
-            ParallelismPlan::new(rails, 2, 4),
-            hosts,
-            rails,
-            256,
-        );
-        let mut session = TrainingSession::new(job, CommConfig::hpn_default());
-        session.run_iterations(&mut cs, 3);
-        let nanos = session.records().iter().map(|r| r.end.as_nanos()).collect();
-        (nanos, buf.text())
-    }
 
     #[test]
-    fn surrogate_session_is_byte_reproducible() {
-        let (nanos_a, telemetry_a) = session_fingerprint(AllocatorKind::Surrogate, 64);
-        let (nanos_b, telemetry_b) = session_fingerprint(AllocatorKind::Surrogate, 64);
-        assert_eq!(nanos_a, nanos_b, "surrogate iteration timings drifted");
+    fn incremental_session_is_byte_reproducible() {
+        let (nanos_a, telemetry_a) = session_fingerprint(AllocatorKind::Incremental);
+        let (nanos_b, telemetry_b) = session_fingerprint(AllocatorKind::Incremental);
+        assert_eq!(nanos_a, nanos_b, "incremental iteration timings drifted");
         assert_eq!(
             telemetry_a, telemetry_b,
-            "surrogate telemetry stream is not byte-identical across runs"
-        );
-        assert!(
-            telemetry_a.contains("\"ev\":\"rate_recompute\""),
-            "session never exercised the rate allocator"
+            "incremental telemetry stream is not byte-identical across runs"
         );
     }
 
     #[test]
-    fn surrogate_at_cadence_one_times_like_incremental() {
-        // At validate_every=1 every prediction is re-solved exactly, so
+    fn dense_session_times_like_incremental() {
+        // Both allocators fill each component with the same arithmetic, so
         // flow rates — and therefore completion times and iteration
-        // timings — must match the incremental reference bit for bit.
-        // (The telemetry text differs: surrogate sessions emit extra
-        // surrogate_cache events.)
-        let (nanos_incr, _) = session_fingerprint(AllocatorKind::Incremental, 0);
-        let (nanos_surr, telemetry_surr) = session_fingerprint(AllocatorKind::Surrogate, 1);
+        // timings — match bit for bit. (The telemetry text differs: the
+        // dense solver touches every flow on every recompute.)
+        let (nanos_incr, _) = session_fingerprint(AllocatorKind::Incremental);
+        let (nanos_dense, telemetry_dense) = session_fingerprint(AllocatorKind::Dense);
         assert_eq!(
-            nanos_incr, nanos_surr,
-            "surrogate at cadence 1 drifted from the incremental reference"
+            nanos_incr, nanos_dense,
+            "the dense session drifted from the incremental one"
         );
         assert!(
-            telemetry_surr.contains("\"ev\":\"surrogate_cache\""),
-            "surrogate session emitted no cache telemetry"
-        );
-    }
-
-    #[test]
-    fn surrogate_at_default_cadence_times_like_incremental() {
-        // Misses run the exact fill and hits replay it, so even with most
-        // hits unvalidated the rates — and the timings — stay bitwise.
-        let (nanos_incr, _) = session_fingerprint(AllocatorKind::Incremental, 0);
-        let (nanos_surr, telemetry_surr) = session_fingerprint(AllocatorKind::Surrogate, 64);
-        assert_eq!(
-            nanos_incr, nanos_surr,
-            "surrogate at the default cadence drifted from the incremental reference"
-        );
-        assert!(
-            !telemetry_surr.contains("\"ev\":\"surrogate_mismatch\""),
-            "a validation caught the surrogate disagreeing with the exact fill"
+            telemetry_dense.contains("alloc=dense"),
+            "the dense session's SimStart names the allocator that ran"
         );
     }
 }
