@@ -42,9 +42,11 @@ fn bench_flownet_recompute(c: &mut Criterion) {
 /// How many distinct pods churn between recomputes in the allocator
 /// bench. A training job's collective traffic churns many components at
 /// once (every rail of a restarted host changes together), so each bench
-/// "event" is a kill/start pair in `CHURN_BATCH` different pod groups
+/// iteration is a kill/start pair in `CHURN_BATCH` different pod groups
 /// followed by one recompute — giving component-partitioned allocators
-/// several independent dirty components per solve.
+/// several independent dirty components per solve. The pairs all happen
+/// at one simulated instant, so the net batches them: nothing recomputes
+/// until the explicit `recompute_if_dirty`.
 const CHURN_BATCH: usize = 8;
 
 /// Allocator churn bench: kill one flow and start a replacement in each
@@ -134,9 +136,10 @@ fn bench_allocator_churn(c: &mut Criterion) {
     }
 
     // Collective geometry: the same churn protocol over a few LARGE
-    // components (n/8 flows each, all-distinct demands). With 2048 flows
-    // per component the exact progressive fill runs ~2048 freeze rounds
-    // per recompute — the regime of a full collective's flows sharing one
+    // link groups (n/8 flows each, all-distinct demands). The `k`/`7k+1`
+    // link pattern splits each group into 4 components of n/32 flows, so
+    // at 16K flows the exact progressive fill runs ~512 freeze rounds per
+    // component — the regime of a collective's flows sharing one
     // bottleneck set — while the pod geometry above measures the
     // bookkeeping-bound regime.
     const NCOMP: usize = 8;
@@ -148,8 +151,8 @@ fn bench_allocator_churn(c: &mut Criterion) {
         let links: Vec<_> = (0..NCOMP * COMP_LINKS)
             .map(|_| net.add_link(4e12, 1e7))
             .collect();
-        // Slot i lives in component (i % NCOMP); consecutive slots
-        // churn distinct components, like the pod bench. Distinct
+        // Slot i lives in link group (i % NCOMP); consecutive slots
+        // churn distinct groups, like the pod bench. Distinct
         // demands per in-component slot force one fill freeze round
         // per flow, making the exact solve O(flows²) per recompute.
         let spec_of = |net: &mut FlowNet, i: usize| {

@@ -252,6 +252,23 @@ mod tests {
     #[test]
     fn iterations_complete_and_record_throughput() {
         let (mut cs, mut session) = setup();
+        // A long-lived message between two hosts the job does not use: a
+        // bottleneck component of its own that no iteration perturbs.
+        let idle: Vec<u32> = cs
+            .fabric
+            .active_hosts()
+            .map(|h| h.id)
+            .filter(|h| !session.job.hosts.contains(h))
+            .take(2)
+            .collect();
+        let background = cs.establish_group(
+            (idle[0], 0),
+            (idle[1], 0),
+            1,
+            hpn_transport::PathPolicy::Single,
+            0,
+        );
+        cs.send_group(background, 1e18, u64::MAX);
         let recs = session.run_iterations(&mut cs, 3).to_vec();
         assert_eq!(recs.len(), 3);
         for r in &recs {
@@ -267,7 +284,8 @@ mod tests {
         // Allocator-scope accounting: every iteration drove rate
         // recomputes and the default incremental allocator kept them
         // local (strictly fewer flows touched than the dense
-        // every-flow-per-event baseline).
+        // every-flow-per-event baseline): the background component is
+        // active at every recompute and never touched.
         for r in &recs {
             assert!(r.alloc_scope.events > 0, "iteration drove recomputes");
             assert!(

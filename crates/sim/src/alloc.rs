@@ -37,7 +37,7 @@
 //! (`hpn-experiments`/benches report flows-touched-per-event ratios).
 
 use crate::arena::FlowArena;
-use crate::flownet::{FlowSpec, LinkId, LinkState, RATE_EPS};
+use crate::flownet::{FlowSpec, HotLinks, LinkId, LinkState, RATE_EPS};
 use crate::fxhash::FxHashMap;
 use crate::path::{PathId, PathInterner};
 use crate::stats::RecomputeScope;
@@ -103,10 +103,12 @@ pub struct AllocCtx<'a> {
     pub links: &'a mut [LinkState],
     /// Resolves each flow spec's `PathId` to its link sequence.
     pub paths: &'a PathInterner,
-    /// Links that carry flows or hold queue (sorted, deduplicated); the
-    /// integration step only walks these. Allocators must keep it a
-    /// superset of {links with active flows or non-empty queue}.
-    pub hot_links: &'a mut Vec<u32>,
+    /// Links that carry flows or hold queue; the integration step only
+    /// walks these. After `recompute` it must equal {links with
+    /// `active_flows > 0` or `queue_bits > 0`}: insert every link whose
+    /// aggregates now qualify and remove every refreshed link that does not
+    /// (each O(1) on [`HotLinks`]).
+    pub hot_links: &'a mut HotLinks,
     /// Recompute-scope counters to record into.
     pub scope: &'a mut RecomputeScope,
 }
@@ -115,8 +117,8 @@ pub struct AllocCtx<'a> {
 ///
 /// `FlowNet` calls the `on_*` hooks eagerly as the network mutates (they
 /// must stay cheap — O(path length)) and `recompute` lazily, once, before
-/// rates are next observed; multiple mutations may batch into one
-/// `recompute`.
+/// rates are next observed or time next moves; every mutation at one
+/// instant batches into one `recompute`.
 pub trait RateAllocator: Send {
     /// Which kind this is (for reporting).
     fn kind(&self) -> AllocatorKind;
@@ -461,9 +463,9 @@ pub(crate) fn refresh_link_aggregates_rows(
     }
 }
 
-/// Bring the hot set up to date after a recompute touched
-/// `touched_sorted` (ascending, deduplicated): add touched links that now
-/// carry flows or hold queue, and drop touched links that do neither.
+/// Bring the hot set up to date after a recompute refreshed the aggregates
+/// of `touched`: add touched links that now carry flows or hold queue, and
+/// drop touched links that do neither. O(1) per touched link.
 ///
 /// Untouched hot links are left alone, which is sound: a link leaves the
 /// hot set only when its `active_flows` drops to zero with no standing
@@ -471,35 +473,14 @@ pub(crate) fn refresh_link_aggregates_rows(
 /// refresh — which always lists the link as touched (flow add/remove and
 /// link-state changes all seed the dirty closure with that link). Queue
 /// drain happens in `integrate_to`, which prunes drained links itself.
-///
-/// Steady-state churn (touched links stay hot) costs O(touched · log hot)
-/// binary searches and never writes the hot vector, instead of an
-/// O(hot log hot) merge-and-sort per recompute.
-pub(crate) fn update_hot(ctx: &mut AllocCtx<'_>, touched_sorted: &[usize], scratch: &mut Vec<u32>) {
-    scratch.clear();
-    let mut any_dead = false;
-    {
-        let links = &*ctx.links;
-        let hot = &*ctx.hot_links;
-        for &li in touched_sorted {
-            let l = &links[li];
-            let qualifies = l.active_flows > 0 || l.queue_bits > 0.0;
-            let present = hot.binary_search(&(li as u32)).is_ok();
-            if qualifies && !present {
-                scratch.push(li as u32);
-            } else if !qualifies && present {
-                any_dead = true;
-            }
+pub(crate) fn update_hot(ctx: &mut AllocCtx<'_>, touched: &[usize]) {
+    for &li in touched {
+        let l = &ctx.links[li];
+        if l.active_flows > 0 || l.queue_bits > 0.0 {
+            ctx.hot_links.insert(li);
+        } else {
+            ctx.hot_links.remove(li);
         }
-    }
-    if !scratch.is_empty() {
-        ctx.hot_links.extend_from_slice(scratch);
-        ctx.hot_links.sort_unstable();
-    }
-    if any_dead {
-        let links = &*ctx.links;
-        ctx.hot_links
-            .retain(|&l| links[l as usize].active_flows > 0 || links[l as usize].queue_bits > 0.0);
     }
 }
 
@@ -516,7 +497,6 @@ pub(crate) fn update_hot(ctx: &mut AllocCtx<'_>, touched_sorted: &[usize], scrat
 pub struct DenseMaxMin {
     solver: ComponentFill,
     scratch_flows: Vec<(PathId, f64)>,
-    hot_scratch: Vec<u32>,
 }
 
 impl RateAllocator for DenseMaxMin {
@@ -542,11 +522,11 @@ impl RateAllocator for DenseMaxMin {
         // too (it may have just lost its last flow): the old hot set covers
         // exactly those.
         let mut touched: Vec<usize> = active_links;
-        touched.extend(ctx.hot_links.iter().map(|&l| l as usize));
+        touched.extend(ctx.hot_links.as_slice().iter().map(|&l| l as usize));
         touched.sort_unstable();
         touched.dedup();
         refresh_link_aggregates_rows(ctx, &touched, &self.scratch_flows, &rate);
-        update_hot(ctx, &touched, &mut self.hot_scratch);
+        update_hot(ctx, &touched);
         let n = ctx.flows.len();
         ctx.scope.record(n, touched.len(), n);
     }
@@ -577,15 +557,14 @@ pub struct IncrementalMaxMin {
     epoch: u64,
     solver: ComponentFill,
     /// Per-recompute scratch, kept across recomputes: the BFS queue, the
-    /// closure's rows, links and group bounds (see [`Self::closure`]), the
-    /// rows' `(path, demand)` problem and rates, and hot-set additions.
+    /// closure's rows, links and group bounds (see [`Self::closure`]), and
+    /// the rows' `(path, demand)` problem and rates.
     queue: Vec<usize>,
     rows: Vec<(u64, PathId, f64)>,
     comp_links: Vec<usize>,
     bounds: Vec<usize>,
     problem: Vec<(PathId, f64)>,
     rate: Vec<f64>,
-    hot_scratch: Vec<u32>,
 }
 
 impl IncrementalMaxMin {
@@ -702,7 +681,6 @@ impl RateAllocator for IncrementalMaxMin {
             bounds,
             problem,
             rate,
-            hot_scratch,
             ..
         } = self;
         problem.clear();
@@ -723,10 +701,10 @@ impl RateAllocator for IncrementalMaxMin {
         // Aggregates refresh over ALL component links — including seeds
         // whose last flow just left, which must read as idle again. Each
         // link lies in one group, so its sums see that group's ascending
-        // ids in the dense solver's order.
-        comp_links.sort_unstable();
+        // ids in the dense solver's order; the links' own order is
+        // irrelevant.
         refresh_link_aggregates_rows(ctx, comp_links, problem, rate);
-        update_hot(ctx, comp_links, hot_scratch);
+        update_hot(ctx, comp_links);
         ctx.scope.record(rows.len(), comp_links.len(), total_flows);
     }
 }

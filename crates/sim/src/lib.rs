@@ -53,7 +53,7 @@ pub mod units;
 pub use alloc::{AllocatorKind, RateAllocator};
 pub use arena::{Flow, FlowArena};
 pub use engine::{Engine, EventId};
-pub use flownet::{FlowHandle, FlowNet, FlowSpec, LinkId, LinkState, MemoStats};
+pub use flownet::{FlowHandle, FlowNet, FlowSpec, HotLinks, LinkId, LinkState, MemoStats};
 pub use path::{PathId, PathInterner, PathSet};
 pub use probe::NetProbe;
 pub use rng::{label_hash, split_seed, SplitMix64, StreamSeed, Xoshiro256};

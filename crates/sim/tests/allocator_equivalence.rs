@@ -10,9 +10,15 @@
 //! *relative* tolerance, which at 1e-6 is far tighter than any behavioural
 //! difference the figures could see. Bitwise identity is asserted where it
 //! is guaranteed: flows whose component was untouched by a perturbation.
+//!
+//! The net recomputes lazily, so every mutation at one instant folds into
+//! one recompute. A second suite checks that this batching is exact: a net
+//! observed only between instants ends each instant bitwise equal to one
+//! that recomputes after every mutation.
 
-use hpn_sim::{AllocatorKind, FlowHandle, FlowNet, FlowSpec, LinkId, SimTime};
+use hpn_sim::{AllocatorKind, FlowHandle, FlowNet, FlowSpec, LinkId, NetProbe, SimTime};
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 
 const GBPS: f64 = 1e9;
 /// Mirrors the solver's internal saturation tolerance.
@@ -64,6 +70,10 @@ struct Driver {
     live: Vec<FlowHandle>,
     down: Vec<bool>,
     next_tag: u64,
+    /// The instant ops apply at.
+    now: SimTime,
+    /// Size of every flow an `Add` starts.
+    flow_bits: f64,
 }
 
 impl Driver {
@@ -79,7 +89,20 @@ impl Driver {
             live: Vec::new(),
             down: vec![false; caps_gbps.len()],
             next_tag: 0,
+            now: SimTime::ZERO,
+            flow_bits: 1e15,
         }
+    }
+
+    /// Advance to `t`, dropping completed flows from the live set, and
+    /// return the completions as `(tag, finish ns)`.
+    fn advance(&mut self, t: SimTime) -> Vec<(u64, u64)> {
+        self.now = t;
+        let done = self.net.advance(t);
+        self.live.retain(|h| !done.iter().any(|c| c.handle == *h));
+        done.iter()
+            .map(|c| (c.tag, c.finished.as_nanos()))
+            .collect()
     }
 
     fn apply(&mut self, op: &Op) {
@@ -89,10 +112,10 @@ impl Driver {
                 path.dedup();
                 let path = self.net.intern_path(&path);
                 let h = self.net.start_flow(
-                    SimTime::ZERO,
+                    self.now,
                     FlowSpec {
                         path,
-                        size_bits: 1e15,
+                        size_bits: self.flow_bits,
                         demand_bps: *demand_gbps as f64 * GBPS,
                         tag: self.next_tag,
                     },
@@ -103,7 +126,7 @@ impl Driver {
             Op::Kill { nth } => {
                 if !self.live.is_empty() {
                     let h = self.live.remove(nth % self.live.len());
-                    assert!(self.net.kill_flow(SimTime::ZERO, h));
+                    assert!(self.net.kill_flow(self.now, h));
                 }
             }
             Op::SetCap { link, cap_gbps } => {
@@ -458,5 +481,167 @@ fn completion_times_match_across_allocators() {
     assert_eq!(
         times[0], times[1],
         "dense vs incremental completion schedule"
+    );
+}
+
+/// The hot set is exactly {links with `active_flows > 0` or
+/// `queue_bits > 0`}: no idle link is walked and no busy one is missed.
+fn assert_hot_set_exact(net: &FlowNet, when: &str) -> Result<(), TestCaseError> {
+    let mut hot = net.hot_links().as_slice().to_vec();
+    hot.sort_unstable();
+    let busy: Vec<u32> = (0..net.link_count() as u32)
+        .filter(|&i| {
+            let l = net.link(LinkId(i));
+            l.active_flows > 0 || l.queue_bits > 0.0
+        })
+        .collect();
+    prop_assert_eq!(hot, busy, "{}", when);
+    Ok(())
+}
+
+/// Everything a batched recompute must reproduce, as exact bit patterns:
+/// each live flow's rate and remaining bits, each link's aggregates and
+/// queue, and the (sorted) hot set.
+#[derive(Debug, PartialEq)]
+struct Snapshot {
+    flows: Vec<(u64, u64)>,
+    links: Vec<(usize, u64, u64, u64)>,
+    hot: Vec<u32>,
+}
+
+fn snapshot(d: &mut Driver) -> Snapshot {
+    let live = d.live.clone();
+    let flows = live
+        .iter()
+        .map(|&h| {
+            let rate = d.net.flow_rate(h).expect("live flow has a rate");
+            let left = d.net.flow_remaining(h).expect("live flow");
+            (rate.to_bits(), left.to_bits())
+        })
+        .collect();
+    d.net.recompute_if_dirty();
+    let links = d
+        .links
+        .iter()
+        .map(|&l| {
+            let s = d.net.link(l);
+            (
+                s.active_flows,
+                s.allocated_bps.to_bits(),
+                s.offered_bps.to_bits(),
+                s.queue_bits.to_bits(),
+            )
+        })
+        .collect();
+    let mut hot = d.net.hot_links().as_slice().to_vec();
+    hot.sort_unstable();
+    Snapshot { flows, links, hot }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Same-instant batching is exact: random bursts of starts, kills,
+    /// link toggles and capacity changes, each burst at one instant. One
+    /// net recomputes after every mutation; the other is only observed
+    /// between instants, so each burst folds into one recompute — made by
+    /// the snapshot when the burst is observed, else by the next advance.
+    /// Under both allocators the two agree bit for bit, on completions at
+    /// every advance and, after every observed burst, on rates, remaining
+    /// bits, link aggregates, queues and the hot set.
+    #[test]
+    fn same_instant_batching_is_exact(
+        caps in proptest::collection::vec(1u64..=400, 2..7),
+        bursts in proptest::collection::vec((0u64..40, proptest::bool::ANY), 1..12),
+        ops_salt in 0u64..u64::MAX,
+        dense in proptest::bool::ANY,
+    ) {
+        let kind = if dense { AllocatorKind::Dense } else { AllocatorKind::Incremental };
+        let nlinks = caps.len();
+        let burst = proptest::collection::vec(op_strategy(nlinks), 1..8);
+        let mut rng = proptest::TestRng::new(ops_salt);
+        let mut eager = Driver::new(kind, &caps);
+        let mut batched = Driver::new(kind, &caps);
+        // Small flows: many complete between bursts.
+        eager.flow_bits = 2e9;
+        batched.flow_bits = 2e9;
+        let mut t = SimTime::ZERO;
+        for (k, &(gap, observe)) in bursts.iter().enumerate() {
+            // A zero gap puts two bursts at one instant.
+            t = SimTime::from_nanos(t.as_nanos() + gap * 1_000_000 + gap * 137);
+            let done_eager = eager.advance(t);
+            let done_batched = batched.advance(t);
+            prop_assert_eq!(&done_eager, &done_batched, "completions before burst {}", k);
+            assert_hot_set_exact(&eager.net, "after advance")?;
+            assert_hot_set_exact(&batched.net, "after advance")?;
+            for op in burst.generate(&mut rng) {
+                eager.apply(&op);
+                eager.net.recompute_if_dirty();
+                assert_hot_set_exact(&eager.net, &format!("after {op:?}"))?;
+                batched.apply(&op);
+            }
+            if observe {
+                let a = snapshot(&mut eager);
+                let b = snapshot(&mut batched);
+                prop_assert_eq!(a, b, "{:?} after burst {} at {:?}", kind, k, t);
+                assert_hot_set_exact(&batched.net, "after the batched recompute")?;
+            }
+        }
+        let end = SimTime::from_nanos(t.as_nanos() + 50_000_000);
+        prop_assert_eq!(eager.advance(end), batched.advance(end), "completions at the end");
+        prop_assert_eq!(snapshot(&mut eager), snapshot(&mut batched), "{:?} at the end", kind);
+    }
+}
+
+/// Probe that records the instant of every rate recompute.
+struct RecomputeTimes(Arc<Mutex<Vec<SimTime>>>);
+
+impl NetProbe for RecomputeTimes {
+    fn rate_recompute(&mut self, t: SimTime, _f: u64, _l: u64, _a: u64) {
+        self.0.lock().unwrap().push(t);
+    }
+}
+
+/// Three mutations at one instant cost one recompute, made when rates are
+/// next observed; a later instant's mutation costs one more, made when time
+/// moves past it.
+#[test]
+fn same_instant_mutations_cost_one_recompute() {
+    let times = Arc::new(Mutex::new(Vec::new()));
+    let mut net = FlowNet::new();
+    net.set_probe(Some(Box::new(RecomputeTimes(times.clone()))));
+    let a = net.add_link(100.0 * GBPS, f64::INFINITY);
+    let b = net.add_link(100.0 * GBPS, f64::INFINITY);
+    let path = net.intern_path(&[a, b]);
+    let spec = FlowSpec {
+        path,
+        size_bits: 1e12,
+        demand_bps: f64::INFINITY,
+        tag: 0,
+    };
+    let t0 = SimTime::from_millis(1);
+    net.advance(t0);
+    let f = net.start_flow(t0, spec);
+    net.start_flow(t0, FlowSpec { tag: 1, ..spec });
+    net.set_link_capacity(b, 50.0 * GBPS);
+    assert!(
+        times.lock().unwrap().is_empty(),
+        "no recompute before an observation"
+    );
+    assert_eq!(net.flow_rate(f), Some(25.0 * GBPS));
+    assert_eq!(net.flow_rate(f), Some(25.0 * GBPS));
+    assert_eq!(
+        *times.lock().unwrap(),
+        vec![t0],
+        "one recompute for the burst"
+    );
+
+    let t1 = SimTime::from_millis(2);
+    net.kill_flow(t1, f);
+    net.advance(SimTime::from_millis(3));
+    assert_eq!(
+        *times.lock().unwrap(),
+        vec![t0, t1],
+        "the kill's recompute runs when time moves, stamped at its instant"
     );
 }
