@@ -206,9 +206,10 @@ fn bench_allocator_churn(c: &mut Criterion) {
 
 /// Write `BENCH_alloc.json` at the workspace root from the allocator
 /// group's timings: µs per churn event (one kill/start pair; each bench
-/// iteration performs [`CHURN_BATCH`] of them plus the recompute) for
-/// every allocator variant and flow count. Skipped in smoke mode and when
-/// a `cargo bench -- <filter>` excluded the whole group.
+/// iteration performs [`CHURN_BATCH`] of them plus the recompute), from the
+/// median batch, for every allocator variant and flow count. Skipped in
+/// smoke mode and when a `cargo bench -- <filter>` left out any bench of
+/// the group: a partial file would drop keys from the baseline.
 fn write_alloc_tracking(c: &Criterion) {
     let results: Vec<_> = c
         .results()
@@ -216,6 +217,10 @@ fn write_alloc_tracking(c: &Criterion) {
         .filter(|r| r.name.starts_with("allocator/"))
         .collect();
     if results.is_empty() {
+        return;
+    }
+    if c.skipped().iter().any(|n| n.starts_with("allocator/")) {
+        eprintln!("not writing BENCH_alloc.json: the filter left out part of the allocator group");
         return;
     }
     let mut body = String::from("{\n");
@@ -226,7 +231,7 @@ fn write_alloc_tracking(c: &Criterion) {
     ));
     for (idx, r) in results.iter().enumerate() {
         let label = r.name.trim_start_matches("allocator/");
-        let us_per_event = r.mean_ns / CHURN_BATCH as f64 / 1_000.0;
+        let us_per_event = r.median_ns / CHURN_BATCH as f64 / 1_000.0;
         let comma = if idx + 1 == results.len() { "" } else { "," };
         body.push_str(&format!("    \"{label}\": {us_per_event:.2}{comma}\n"));
     }

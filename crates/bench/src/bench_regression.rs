@@ -142,7 +142,7 @@ pub fn parse_results(src: &str) -> Result<BTreeMap<String, f64>, String> {
 }
 
 /// Parse the top-level `"events_per_iteration"` field of a
-/// `BENCH_alloc.json`. The µs/event figures are `mean_ns / batch / 1000`,
+/// `BENCH_alloc.json`. The µs/event figures are `median_ns / batch / 1000`,
 /// so two files measured under different batch sizes are not comparable —
 /// [`check_events_per_iteration`] rejects that pairing.
 pub fn parse_events_per_iteration(src: &str) -> Result<u64, String> {

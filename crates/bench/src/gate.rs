@@ -16,6 +16,11 @@
 //! Each gate run also writes a deterministic [`RunManifest`] (and, per
 //! figure, a JSONL telemetry stream) into the output directory, so a CI
 //! artifact fully identifies what ran and what it produced.
+//!
+//! [`run_scenario_gate`] pins the shipped `examples/scenarios/` the same
+//! way: each example's `scenario run` report and manifest are fingerprinted
+//! against `tests/golden/scenario_hashes.json`, so a change to the event
+//! loop is checked on user scenarios, not only on figures.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -27,7 +32,8 @@ use hpn_telemetry::{
 };
 
 use crate::report::Report;
-use crate::runner::{run_plan, scale_label, RunPlan};
+use crate::runner::{run_cells, run_plan, scale_label, write_sweep_outputs, Cell, RunPlan};
+use crate::scenario_cli;
 use crate::Scale;
 
 /// The figures CI gates on: the paper's evaluation section (§6).
@@ -48,6 +54,27 @@ pub fn golden_path() -> PathBuf {
 /// (a sketch bug, a mis-fed event) drifts here and only here.
 pub fn latency_golden_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/latency_hashes.json")
+}
+
+/// Location of the golden scenario fingerprints: per shipped example, the
+/// SHA-256 of its report and of its manifest (see [`run_scenario_gate`]).
+pub fn scenario_golden_path() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/scenario_hashes.json")
+}
+
+/// The shipped example scenarios (`examples/scenarios/*.toml`), sorted by
+/// file name.
+pub fn example_scenarios() -> std::io::Result<Vec<PathBuf>> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/scenarios");
+    let mut files = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.extension().is_some_and(|e| e == "toml") {
+            files.push(path);
+        }
+    }
+    files.sort();
+    Ok(files)
 }
 
 /// SHA-256 fingerprint of a report's canonical bytes.
@@ -169,8 +196,75 @@ pub fn run_gate(
     })
 }
 
-/// Compare `actual` fingerprints against (or, with `update`, rewrite) one
-/// golden flat-map file. Returns per-id statuses in `ids` order.
+/// Run each scenario file the way `scenario run <file> --quick` runs it
+/// alone (on up to `jobs` worker threads, each cell's context derived from
+/// `base`) and compare two fingerprints per file against (or, with
+/// `update`, write them into) [`scenario_golden_path`]:
+///
+/// * `<stem>.report` — [`figure_fingerprint`] of the report, which no
+///   allocator changes;
+/// * `<stem>.manifest.<allocator>` — SHA-256 of the manifest the run
+///   writes, with `git` set to `unknown` (what a run outside a git
+///   checkout records), so the hash does not move with every commit. The
+///   manifest's recompute counters depend on the allocator, hence one key
+///   per allocator.
+///
+/// Returns the per-key statuses in file order and whether the golden file
+/// was written. An update merges into the existing file, so running it
+/// under each allocator fills in both manifest keys.
+pub fn run_scenario_gate(
+    base: &SimCtx,
+    files: &[PathBuf],
+    scale: Scale,
+    update: bool,
+    jobs: usize,
+) -> std::io::Result<(StatusRows, bool)> {
+    let mut stems = Vec::with_capacity(files.len());
+    let mut tasks = Vec::with_capacity(files.len());
+    for (index, path) in files.iter().enumerate() {
+        let sc = scenario_cli::load(path)
+            .and_then(|sc| sc.check().map(|()| sc))
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        let stem = path.file_stem().expect("a scenario file has a name");
+        stems.push(stem.to_string_lossy().into_owned());
+        let cell = Cell {
+            index,
+            figure: sc.name.clone(),
+            seed: None,
+        };
+        tasks.push((cell, move |ctx: &SimCtx, scale| {
+            scenario_cli::report_for(ctx, &sc, scale)
+        }));
+    }
+    let results = run_cells(base, tasks, scale, jobs);
+    let mut keys = Vec::with_capacity(2 * results.len());
+    let mut actual = BTreeMap::new();
+    for (stem, r) in stems.iter().zip(&results) {
+        let plan = RunPlan {
+            figures: vec![r.cell.figure.clone()],
+            seeds: vec![None],
+            scale,
+        };
+        let mut manifest = write_sweep_outputs(&plan, std::slice::from_ref(r), None)?
+            .pop()
+            .expect("one manifest per seed");
+        manifest.git = "unknown".to_string();
+        let report_key = format!("{stem}.report");
+        let manifest_key = format!("{stem}.manifest.{}", r.allocator.name());
+        actual.insert(report_key.clone(), r.fingerprint.clone());
+        actual.insert(
+            manifest_key.clone(),
+            hex_digest(manifest.to_json().as_bytes()),
+        );
+        keys.push(report_key);
+        keys.push(manifest_key);
+    }
+    let ids: Vec<&str> = keys.iter().map(String::as_str).collect();
+    reconcile_golden(&scenario_golden_path(), &ids, &actual, update)
+}
+
+/// Compare `actual` fingerprints against (or, with `update`, merge them
+/// into) one golden flat-map file. Returns per-id statuses in `ids` order.
 fn reconcile_golden(
     golden: &Path,
     ids: &[&str],
@@ -181,7 +275,14 @@ fn reconcile_golden(
         if let Some(parent) = golden.parent() {
             fs::create_dir_all(parent)?;
         }
-        let mut body = flat_map_json(actual, 2);
+        // Keys this run did not produce (another allocator's manifests, a
+        // figure outside `ids`) are kept.
+        let mut merged = fs::read_to_string(golden)
+            .ok()
+            .and_then(|src| parse_flat_map(&src).ok())
+            .unwrap_or_default();
+        merged.extend(actual.iter().map(|(k, v)| (k.clone(), v.clone())));
+        let mut body = flat_map_json(&merged, 2);
         body.push('\n');
         fs::write(golden, body)?;
         return Ok((

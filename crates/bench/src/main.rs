@@ -7,7 +7,8 @@
 //! hpn-experiments fig15 --json out.json
 //! hpn-experiments topo hpn|dcn|paper   # fabric inventory + blueprint check
 //! hpn-experiments gate [--quick] [--update] [--out DIR] [--jobs N]
-//!                                      # regression-gate figures vs goldens
+//!                                      # regression-gate figures and the
+//!                                      # shipped scenarios vs goldens
 //! hpn-experiments run [ids…|all] [--quick] [--jobs N] [--seeds A..B] [--out DIR]
 //!                                      # parallel runner / multi-seed sweep
 //! hpn-experiments scenario check a.toml b.toml…
@@ -325,9 +326,11 @@ fn main() {
 }
 
 fn gate(base: &SimCtx, scale: Scale, update: bool, out_dir: Option<&str>, jobs: usize) {
-    use hpn_bench::gate::{run_gate, FigureStatus, GATE_FIGURES};
+    use hpn_bench::gate::{
+        example_scenarios, run_gate, run_scenario_gate, FigureStatus, GATE_FIGURES,
+    };
     eprintln!(
-        "gate: {} figures, allocator={}, {:?}, jobs={jobs}{}",
+        "gate: {} figures + shipped scenarios, allocator={}, {:?}, jobs={jobs}{}",
         GATE_FIGURES.len(),
         base.allocator().name(),
         scale,
@@ -342,8 +345,23 @@ fn gate(base: &SimCtx, scale: Scale, update: bool, out_dir: Option<&str>, jobs: 
             std::process::exit(2);
         }
     };
+    let scenario_start = std::time::Instant::now();
+    let scenarios = match example_scenarios()
+        .and_then(|files| run_scenario_gate(base, &files, scale, update, jobs))
+    {
+        Ok((rows, _)) => rows,
+        Err(e) => {
+            eprintln!("gate failed: {e}");
+            std::process::exit(2);
+        }
+    };
+    let scenario_wall = scenario_start.elapsed();
     let wall = start.elapsed();
-    for (label, set) in [("", &outcome.figures), (" (latency)", &outcome.latency)] {
+    for (label, set) in [
+        ("", &outcome.figures),
+        (" (latency)", &outcome.latency),
+        (" (scenario)", &scenarios),
+    ] {
         for (id, hash, status) in set {
             match status {
                 FigureStatus::Match => println!("  {id:<8} {hash}  ok{label}"),
@@ -360,24 +378,28 @@ fn gate(base: &SimCtx, scale: Scale, update: bool, out_dir: Option<&str>, jobs: 
     for (id, d) in &outcome.timings {
         eprintln!("  {id:<8} {:>8.2}s", d.as_secs_f64());
     }
+    eprintln!("  scenarios {:>7.2}s", scenario_wall.as_secs_f64());
     eprintln!(
-        "gate wall-clock {:.2}s (cells sum {:.2}s, jobs={jobs})",
+        "gate wall-clock {:.2}s (figure cells sum {:.2}s, jobs={jobs})",
         wall.as_secs_f64(),
         cell_total.as_secs_f64()
     );
     if let Some(dir) = out_dir {
         eprintln!("wrote manifest + telemetry under {dir}/");
     }
+    let scenarios_pass = scenarios.iter().all(|(_, _, s)| *s == FigureStatus::Match);
     if outcome.updated {
-        eprintln!("updated {}", hpn_bench::gate::golden_path().display());
+        for path in [
+            hpn_bench::gate::golden_path(),
+            hpn_bench::gate::latency_golden_path(),
+            hpn_bench::gate::scenario_golden_path(),
+        ] {
+            eprintln!("updated {}", path.display());
+        }
+    } else if !outcome.passed() || !scenarios_pass {
         eprintln!(
-            "updated {}",
-            hpn_bench::gate::latency_golden_path().display()
-        );
-    } else if !outcome.passed() {
-        eprintln!(
-            "gate FAILED: output drifted from tests/golden/figure_hashes.json \
-             or tests/golden/latency_hashes.json"
+            "gate FAILED: output drifted from tests/golden/figure_hashes.json, \
+             tests/golden/latency_hashes.json or tests/golden/scenario_hashes.json"
         );
         eprintln!("(if the change is intended: hpn-experiments gate --quick --update)");
         std::process::exit(1);

@@ -3,7 +3,10 @@
 
 use std::path::PathBuf;
 
-use hpn_bench::gate::{figure_fingerprint, run_gate, FigureStatus};
+use hpn_bench::gate::{
+    example_scenarios, figure_fingerprint, run_gate, run_scenario_gate, scenario_golden_path,
+    FigureStatus,
+};
 use hpn_bench::{find, Scale, SimCtx};
 use hpn_telemetry::{JsonlRecorder, SharedBuf, SharedRecorder};
 
@@ -70,6 +73,43 @@ fn gate_matches_goldens_and_manifest_covers_the_run() {
     let jsonl = std::fs::read_to_string(out.join("fig19.telemetry.jsonl")).expect("jsonl written");
     let first = jsonl.lines().next().expect("non-empty stream");
     assert!(first.contains("sim_start") && first.contains("fig19"));
+}
+
+#[test]
+fn scenario_golden_covers_every_shipped_example() {
+    let files = example_scenarios().expect("examples dir");
+    assert_eq!(files.len(), 9, "nine shipped examples");
+    let golden = std::fs::read_to_string(scenario_golden_path()).expect("scenario golden");
+    let golden = hpn_telemetry::parse_flat_map(&golden).expect("flat map");
+    let mut want = Vec::new();
+    for f in &files {
+        let stem = f.file_stem().expect("file stem").to_string_lossy();
+        for suffix in ["report", "manifest.dense", "manifest.incremental"] {
+            want.push(format!("{stem}.{suffix}"));
+        }
+    }
+    want.sort();
+    assert_eq!(golden.keys().cloned().collect::<Vec<_>>(), want);
+}
+
+#[test]
+fn scenario_gate_matches_the_golden_on_the_smoke_example() {
+    let smoke: Vec<_> = example_scenarios()
+        .expect("examples dir")
+        .into_iter()
+        .filter(|p| p.ends_with("tiny_smoke.toml"))
+        .collect();
+    let (rows, updated) =
+        run_scenario_gate(&SimCtx::new(), &smoke, Scale::Quick, false, 1).expect("gate run");
+    assert!(!updated);
+    let ids: Vec<&str> = rows.iter().map(|(id, _, _)| id.as_str()).collect();
+    assert_eq!(
+        ids,
+        ["tiny_smoke.report", "tiny_smoke.manifest.incremental"]
+    );
+    for (id, _, status) in &rows {
+        assert_eq!(*status, FigureStatus::Match, "{id} drifted");
+    }
 }
 
 #[test]

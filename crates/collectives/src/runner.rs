@@ -215,14 +215,9 @@ impl Runner {
     pub fn run_job(&mut self, cs: &mut ClusterSim, job: usize, deadline: SimTime) -> bool {
         self.launch_pending(cs);
         while self.jobs[job].finished.is_none() {
-            match cs.next_event_time() {
-                Some(t) if t <= deadline => {
-                    cs.step(self);
-                }
-                _ => {
-                    cs.run(self, deadline);
-                    return false;
-                }
+            if !cs.step_until(self, deadline) {
+                cs.run(self, deadline);
+                return false;
             }
         }
         true

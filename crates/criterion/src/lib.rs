@@ -6,7 +6,7 @@
 //! [`BenchmarkId`], [`black_box`], and the [`criterion_group!`] /
 //! [`criterion_main!`] macros. Timing is plain wall-clock: a short warmup,
 //! then batches sized to ~10ms until the measurement window elapses, with
-//! the mean ns/iter (and batch min/max) printed per bench.
+//! the batch min, median and max ns/iter printed per bench.
 //!
 //! No statistical analysis, HTML reports, or baseline comparison — enough
 //! to run `cargo bench` offline and compare numbers by eye or script.
@@ -109,20 +109,16 @@ fn human_ns(ns: f64) -> String {
     }
 }
 
-fn report(name: &str, samples: &[f64]) {
-    if samples.is_empty() {
-        println!("{name:<48} (no samples)");
-        return;
+/// Median of a non-empty sample set (mean of the middle two when even).
+fn median(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    if sorted.len() % 2 == 0 {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    } else {
+        sorted[mid]
     }
-    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    let min = samples.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = samples.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    println!(
-        "{name:<48} time: [{} {} {}]",
-        human_ns(min),
-        human_ns(mean),
-        human_ns(max)
-    );
 }
 
 /// One finished bench's timing summary, retrievable via
@@ -132,12 +128,24 @@ fn report(name: &str, samples: &[f64]) {
 pub struct BenchResult {
     /// Full bench name (`group/function/parameter`).
     pub name: String,
-    /// Mean ns per iteration over all measured batches.
-    pub mean_ns: f64,
+    /// Median batch, ns/iter: unlike the mean, a few batches slowed by
+    /// other load on the host barely move it.
+    pub median_ns: f64,
     /// Fastest batch mean, ns/iter.
     pub min_ns: f64,
     /// Slowest batch mean, ns/iter.
     pub max_ns: f64,
+}
+
+impl BenchResult {
+    fn from_samples(name: &str, samples: &[f64]) -> Self {
+        BenchResult {
+            name: name.to_string(),
+            median_ns: median(samples),
+            min_ns: samples.iter().cloned().fold(f64::INFINITY, f64::min),
+            max_ns: samples.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
+        }
+    }
 }
 
 /// Top-level bench driver; one per `criterion_group!` target.
@@ -147,6 +155,8 @@ pub struct Criterion {
     filter: Option<String>,
     test_mode: bool,
     results: Vec<BenchResult>,
+    /// Names of the benches the filter left out.
+    skipped: Vec<String>,
 }
 
 impl Default for Criterion {
@@ -161,6 +171,7 @@ impl Default for Criterion {
             filter,
             test_mode,
             results: Vec::new(),
+            skipped: Vec::new(),
         }
     }
 }
@@ -172,25 +183,24 @@ impl Criterion {
 
     fn run_one(&mut self, name: &str, f: &mut dyn FnMut(&mut Bencher)) {
         if !self.wants(name) {
+            self.skipped.push(name.to_string());
             return;
         }
         let mut b = Bencher::new(self.warmup, self.measure, self.test_mode);
         f(&mut b);
         if self.test_mode {
             println!("{name:<48} ok (smoke: 1 iteration)");
+        } else if b.samples.is_empty() {
+            println!("{name:<48} (no samples)");
         } else {
-            report(name, &b.samples);
-            if !b.samples.is_empty() {
-                let mean = b.samples.iter().sum::<f64>() / b.samples.len() as f64;
-                let min = b.samples.iter().cloned().fold(f64::INFINITY, f64::min);
-                let max = b.samples.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                self.results.push(BenchResult {
-                    name: name.to_string(),
-                    mean_ns: mean,
-                    min_ns: min,
-                    max_ns: max,
-                });
-            }
+            let r = BenchResult::from_samples(name, &b.samples);
+            println!(
+                "{name:<48} time: [{} {} {}]",
+                human_ns(r.min_ns),
+                human_ns(r.median_ns),
+                human_ns(r.max_ns)
+            );
+            self.results.push(r);
         }
     }
 
@@ -204,6 +214,12 @@ impl Criterion {
     /// Empty in smoke mode.
     pub fn results(&self) -> &[BenchResult] {
         &self.results
+    }
+
+    /// Names of the benches a `cargo bench -- <filter>` left out, so a
+    /// bench target can tell a partial run from a full one.
+    pub fn skipped(&self) -> &[String] {
+        &self.skipped
     }
 
     /// Run a single named bench.
@@ -307,6 +323,18 @@ mod tests {
         });
         assert_eq!(calls, 1, "smoke mode runs the body exactly once");
         assert!(b.samples.is_empty(), "smoke mode collects no timings");
+    }
+
+    #[test]
+    fn result_median_ignores_one_slow_batch() {
+        let r = BenchResult::from_samples("b", &[10.0, 11.0, 400.0, 9.0, 12.0]);
+        assert_eq!(r.median_ns, 11.0);
+        assert_eq!((r.min_ns, r.max_ns), (9.0, 400.0));
+        assert_eq!(
+            median(&[4.0, 1.0, 3.0, 2.0]),
+            2.5,
+            "even count: middle pair"
+        );
     }
 
     #[test]

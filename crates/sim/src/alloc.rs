@@ -23,12 +23,12 @@
 //! sub-problem the global fill would solve for those flows.
 //!
 //! Both allocators fill one connected component at a time, flows in
-//! ascending-id order, with the same `Fill` arithmetic. They find the
-//! components independently: the dense solver partitions all flows with a
-//! union-find over links, the incremental one grows one BFS wave per
-//! component from its dirty seeds. Interleaving the filling rounds across
-//! components would change float summation order and leave the
-//! implementations agreeing only to ~ulp; identical per-component
+//! ascending-id order, with the same `ComponentFill::fill` arithmetic.
+//! They find the components independently: the dense solver partitions
+//! all flows with a union-find over links, the incremental one grows one
+//! BFS wave per component from its dirty seeds. Interleaving the filling
+//! rounds across components would change float summation order and leave
+//! the implementations agreeing only to ~ulp; identical per-component
 //! arithmetic makes their rates **bitwise equal**, so figures regenerate
 //! byte-identically under either allocator.
 //!
@@ -153,138 +153,6 @@ pub trait RateAllocator: Send {
     fn recompute(&mut self, ctx: &mut AllocCtx<'_>);
 }
 
-/// Shared core: progressive filling over one set of flows.
-///
-/// `flows` lists (dense-index, path, demand) for the flows to fill, in
-/// ascending flow-id order (determinism). `rate` is indexed by the same
-/// dense index. `free`/`unfrozen_on` are per-link scratch sized to the link
-/// table and zeroed outside the `touched` links; `touched` collects every
-/// link the fill used so the caller can sparsely reset the scratch and
-/// refresh aggregates.
-pub(crate) struct Fill<'a> {
-    pub(crate) links: &'a [LinkState],
-    pub(crate) paths: &'a PathInterner,
-    pub(crate) free: &'a mut Vec<f64>,
-    pub(crate) unfrozen_on: &'a mut Vec<u32>,
-}
-
-impl Fill<'_> {
-    /// Run progressive filling. `flows[i] = (path, demand)`; returns rates
-    /// per flow plus the set of links touched (in first-crossed order).
-    pub(crate) fn run(&mut self, flows: &[(PathId, f64)]) -> (Vec<f64>, Vec<usize>) {
-        let n = flows.len();
-        let nlinks = self.links.len();
-        self.free.resize(nlinks, 0.0);
-        self.unfrozen_on.resize(nlinks, 0);
-        let free = &mut *self.free;
-        let unfrozen_on = &mut *self.unfrozen_on;
-        let mut rate = vec![0.0f64; n];
-        let mut active_links: Vec<usize> = Vec::new();
-        for &(path, _) in flows {
-            for l in self.paths.get(path) {
-                let li = l.0 as usize;
-                if unfrozen_on[li] == 0 {
-                    active_links.push(li);
-                    free[li] = self.links[li].capacity_bps();
-                }
-                unfrozen_on[li] += 1;
-            }
-        }
-
-        let mut unfrozen_list: Vec<usize> = (0..n).collect();
-        let paths = self.paths;
-        let freeze = |i: usize, unfrozen_on: &mut [u32]| {
-            for l in paths.get(flows[i].0) {
-                unfrozen_on[l.0 as usize] -= 1;
-            }
-        };
-
-        // Immediately freeze flows crossing a dead (zero-capacity) link.
-        unfrozen_list.retain(|&i| {
-            let dead = paths
-                .get(flows[i].0)
-                .iter()
-                .any(|l| self.links[l.0 as usize].capacity_bps() <= RATE_EPS);
-            if dead {
-                freeze(i, unfrozen_on);
-            }
-            !dead
-        });
-
-        while !unfrozen_list.is_empty() {
-            // The common increment: bounded by the tightest link fair
-            // share and the smallest remaining demand headroom.
-            let mut delta = f64::INFINITY;
-            for &li in &active_links {
-                if unfrozen_on[li] > 0 {
-                    delta = delta.min(free[li] / unfrozen_on[li] as f64);
-                }
-            }
-            for &i in &unfrozen_list {
-                delta = delta.min(flows[i].1 - rate[i]);
-            }
-            if !delta.is_finite() {
-                // No unfrozen flow crosses any finite link and all
-                // demands are infinite — cannot happen with validated
-                // specs, but avoid an infinite loop just in case.
-                break;
-            }
-            let delta = delta.max(0.0);
-            // Apply the increment.
-            for &i in &unfrozen_list {
-                rate[i] += delta;
-            }
-            for &li in &active_links {
-                free[li] -= delta * unfrozen_on[li] as f64;
-            }
-            // Freeze flows on saturated links and flows at demand.
-            let before = unfrozen_list.len();
-            unfrozen_list.retain(|&i| {
-                let (path, demand) = flows[i];
-                let at_demand = rate[i] >= demand - RATE_EPS;
-                let on_saturated = paths
-                    .get(path)
-                    .iter()
-                    .any(|l| free[l.0 as usize] <= RATE_EPS * demand.min(1e12));
-                let keep = !(at_demand || on_saturated);
-                if !keep {
-                    freeze(i, unfrozen_on);
-                }
-                keep
-            });
-            if unfrozen_list.len() == before {
-                // Numerical stall: a flow is within rounding distance of
-                // its demand (one ulp of a ~1e10 rate exceeds the absolute
-                // RATE_EPS window) and the increment rounds to zero.
-                // Freeze the flow with the least demand headroom — it is
-                // the one that stalled. Freezing an arbitrary flow here
-                // would strand a genuinely unconstrained flow below both
-                // its demand and any saturated link, breaking max-min
-                // optimality (found by `scenario fuzz`, seed 53).
-                let pos = unfrozen_list
-                    .iter()
-                    .enumerate()
-                    .min_by(|&(_, &a), &(_, &b)| {
-                        let ha = flows[a].1 - rate[a];
-                        let hb = flows[b].1 - rate[b];
-                        ha.partial_cmp(&hb).unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .map(|(p, _)| p)
-                    .expect("stalled fill has unfrozen flows");
-                let i = unfrozen_list.remove(pos);
-                freeze(i, unfrozen_on);
-            }
-        }
-
-        // Reset the scratch sparsely for the next recompute.
-        for &li in &active_links {
-            free[li] = 0.0;
-            unfrozen_on[li] = 0;
-        }
-        (rate, active_links)
-    }
-}
-
 /// Find with path compression over the epoch-stamped link union-find; a
 /// link seen for the first time this epoch lazily initialises to itself
 /// (no O(link-table) reset per solve).
@@ -309,7 +177,8 @@ fn uf_find(parent: &mut [u32], stamp: &mut [u64], epoch: u64, x: u32) -> u32 {
 }
 
 /// The shared solver: fill connected components of the flow↔link sharing
-/// graph with [`Fill`], one at a time, with reused scratch.
+/// graph by progressive filling ([`ComponentFill::fill`]), one at a time,
+/// with reused scratch.
 ///
 /// [`ComponentFill::run`] partitions a whole flow set itself (the dense
 /// solver); [`ComponentFill::fill_component`] takes one component the
@@ -321,6 +190,8 @@ fn uf_find(parent: &mut [u32], stamp: &mut [u64], epoch: u64, x: u32) -> u32 {
 pub(crate) struct ComponentFill {
     free: Vec<f64>,
     unfrozen_on: Vec<u32>,
+    active: Vec<usize>,
+    unfrozen: Vec<usize>,
     uf_parent: Vec<u32>,
     uf_stamp: Vec<u64>,
     epoch: u64,
@@ -367,54 +238,189 @@ impl ComponentFill {
     }
 
     /// Partition `flows` and fill each component sequentially with shared
-    /// scratch. Returns rates per flow plus every link used.
+    /// scratch. Returns rates per flow; [`ComponentFill::filled_links`]
+    /// then lists every link used.
     fn run(
         &mut self,
         links: &[LinkState],
         paths: &PathInterner,
         flows: &[(PathId, f64)],
-    ) -> (Vec<f64>, Vec<usize>) {
+    ) -> Vec<f64> {
         let groups = self.partition(links.len(), paths, flows);
         let mut rate = vec![0.0f64; flows.len()];
-        let mut all_links: Vec<usize> = Vec::new();
         let mut comp: Vec<(PathId, f64)> = Vec::new();
+        let mut comp_rate: Vec<f64> = Vec::new();
+        self.active.clear();
         for idxs in &groups {
             comp.clear();
             comp.extend(idxs.iter().map(|&i| flows[i]));
-            let (r, active) = Fill {
-                links,
-                paths,
-                free: &mut self.free,
-                unfrozen_on: &mut self.unfrozen_on,
-            }
-            .run(&comp);
-            for (&i, &ri) in idxs.iter().zip(r.iter()) {
+            comp_rate.resize(comp.len(), 0.0);
+            self.fill(links, paths, &comp, &mut comp_rate);
+            for (&i, &ri) in idxs.iter().zip(comp_rate.iter()) {
                 rate[i] = ri;
             }
-            all_links.extend(active);
         }
-        (rate, all_links)
+        rate
+    }
+
+    /// The links the last [`ComponentFill::run`] or
+    /// [`ComponentFill::fill_component`] crossed, each once.
+    fn filled_links(&self) -> &[usize] {
+        &self.active
     }
 
     /// Fill one pre-isolated component (all `flows` share one true
-    /// component) with this solver's scratch, returning its rates. This is
-    /// exactly the arithmetic one [`ComponentFill::run`] group performs, so
-    /// the incremental allocator, which finds its components itself, gets
-    /// rates bitwise-equal to the dense solver's.
+    /// component) with this solver's scratch, writing its rates into
+    /// `rate`. This is exactly the arithmetic one [`ComponentFill::run`]
+    /// group performs, so the incremental allocator, which finds its
+    /// components itself, gets rates bitwise-equal to the dense solver's.
     pub(crate) fn fill_component(
         &mut self,
         links: &[LinkState],
         paths: &PathInterner,
         flows: &[(PathId, f64)],
-    ) -> Vec<f64> {
-        Fill {
-            links,
-            paths,
-            free: &mut self.free,
-            unfrozen_on: &mut self.unfrozen_on,
+        rate: &mut [f64],
+    ) {
+        self.active.clear();
+        self.fill(links, paths, flows, rate);
+    }
+
+    /// Progressive filling of one connected component: all flows ramp up
+    /// together until a link saturates or a flow reaches its demand, then
+    /// those freeze and the rest keep filling.
+    ///
+    /// `flows` lists `(path, demand)` for the component's flows in
+    /// ascending flow-id order (determinism); the fill writes each flow's
+    /// rate into the same position of `rate`. The per-link scratch
+    /// (`free`, `unfrozen_on`) is sized to the link table and zero outside
+    /// the links being filled, and is reset on them before returning. The
+    /// links crossed are appended to `active`, first-crossed order, and
+    /// `unfrozen` holds the not-yet-frozen flow indices; all four are
+    /// reused, so a fill allocates nothing once they have grown.
+    fn fill(
+        &mut self,
+        links: &[LinkState],
+        paths: &PathInterner,
+        flows: &[(PathId, f64)],
+        rate: &mut [f64],
+    ) {
+        let ComponentFill {
+            free,
+            unfrozen_on,
+            active,
+            unfrozen: unfrozen_list,
+            ..
+        } = self;
+        let n = flows.len();
+        free.resize(links.len(), 0.0);
+        unfrozen_on.resize(links.len(), 0);
+        let free = &mut free[..];
+        let unfrozen_on = &mut unfrozen_on[..];
+        let base = active.len();
+        let rate = &mut rate[..n];
+        rate.fill(0.0);
+        for &(path, _) in flows {
+            for l in paths.get(path) {
+                let li = l.0 as usize;
+                if unfrozen_on[li] == 0 {
+                    active.push(li);
+                    free[li] = links[li].capacity_bps();
+                }
+                unfrozen_on[li] += 1;
+            }
         }
-        .run(flows)
-        .0
+        let active_links = &active[base..];
+
+        unfrozen_list.clear();
+        unfrozen_list.extend(0..n);
+        let freeze = |i: usize, unfrozen_on: &mut [u32]| {
+            for l in paths.get(flows[i].0) {
+                unfrozen_on[l.0 as usize] -= 1;
+            }
+        };
+
+        // Immediately freeze flows crossing a dead (zero-capacity) link.
+        unfrozen_list.retain(|&i| {
+            let dead = paths
+                .get(flows[i].0)
+                .iter()
+                .any(|l| links[l.0 as usize].capacity_bps() <= RATE_EPS);
+            if dead {
+                freeze(i, unfrozen_on);
+            }
+            !dead
+        });
+
+        while !unfrozen_list.is_empty() {
+            // The common increment: bounded by the tightest link fair
+            // share and the smallest remaining demand headroom.
+            let mut delta = f64::INFINITY;
+            for &li in active_links {
+                if unfrozen_on[li] > 0 {
+                    delta = delta.min(free[li] / unfrozen_on[li] as f64);
+                }
+            }
+            for &i in unfrozen_list.iter() {
+                delta = delta.min(flows[i].1 - rate[i]);
+            }
+            if !delta.is_finite() {
+                // No unfrozen flow crosses any finite link and all
+                // demands are infinite — cannot happen with validated
+                // specs, but avoid an infinite loop just in case.
+                break;
+            }
+            let delta = delta.max(0.0);
+            // Apply the increment.
+            for &i in unfrozen_list.iter() {
+                rate[i] += delta;
+            }
+            for &li in active_links {
+                free[li] -= delta * unfrozen_on[li] as f64;
+            }
+            // Freeze flows on saturated links and flows at demand.
+            let before = unfrozen_list.len();
+            unfrozen_list.retain(|&i| {
+                let (path, demand) = flows[i];
+                let at_demand = rate[i] >= demand - RATE_EPS;
+                let on_saturated = paths
+                    .get(path)
+                    .iter()
+                    .any(|l| free[l.0 as usize] <= RATE_EPS * demand.min(1e12));
+                let keep = !(at_demand || on_saturated);
+                if !keep {
+                    freeze(i, unfrozen_on);
+                }
+                keep
+            });
+            if unfrozen_list.len() == before {
+                // Numerical stall: a flow is within rounding distance of
+                // its demand (one ulp of a ~1e10 rate exceeds the absolute
+                // RATE_EPS window) and the increment rounds to zero.
+                // Freeze the flow with the least demand headroom — it is
+                // the one that stalled. Freezing an arbitrary flow here
+                // would strand a genuinely unconstrained flow below both
+                // its demand and any saturated link, breaking max-min
+                // optimality (found by `scenario fuzz`, seed 53).
+                let pos = unfrozen_list
+                    .iter()
+                    .enumerate()
+                    .min_by(|&(_, &a), &(_, &b)| {
+                        let ha = flows[a].1 - rate[a];
+                        let hb = flows[b].1 - rate[b];
+                        ha.partial_cmp(&hb).unwrap_or(std::cmp::Ordering::Equal)
+                    })
+                    .map(|(p, _)| p)
+                    .expect("stalled fill has unfrozen flows");
+                let i = unfrozen_list.remove(pos);
+                freeze(i, unfrozen_on);
+            }
+        }
+
+        // Reset the scratch sparsely for the next fill.
+        for &li in active_links {
+            free[li] = 0.0;
+            unfrozen_on[li] = 0;
+        }
     }
 }
 
@@ -513,7 +519,7 @@ impl RateAllocator for DenseMaxMin {
             self.scratch_flows
                 .push((f.spec().path, f.spec().demand_bps));
         }
-        let (rate, active_links) = self.solver.run(ctx.links, ctx.paths, &self.scratch_flows);
+        let rate = self.solver.run(ctx.links, ctx.paths, &self.scratch_flows);
 
         for ((_, f), r) in ctx.flows.iter_mut().zip(rate.iter()) {
             f.set_rate_bps(*r);
@@ -521,8 +527,8 @@ impl RateAllocator for DenseMaxMin {
         // Zero stats on every link that was active before this recompute
         // too (it may have just lost its last flow): the old hot set covers
         // exactly those.
-        let mut touched: Vec<usize> = active_links;
-        touched.extend(ctx.hot_links.as_slice().iter().map(|&l| l as usize));
+        let mut touched: Vec<usize> = self.solver.filled_links().to_vec();
+        touched.extend(ctx.hot_links.iter().map(|l| l as usize));
         touched.sort_unstable();
         touched.dedup();
         refresh_link_aggregates_rows(ctx, &touched, &self.scratch_flows, &rate);
@@ -544,16 +550,22 @@ impl RateAllocator for DenseMaxMin {
 /// perturbations.
 #[derive(Default)]
 pub struct IncrementalMaxMin {
-    /// Per link: `(flow id, path, demand)` of flows crossing it, with
+    /// Per link: the [`Member`] rows of flows crossing it, with
     /// multiplicity for repeated path entries (mirrors the fill's
     /// per-occurrence share accounting). Carrying the problem row alongside
     /// the id means the closure never touches the flow arena: everything a
     /// recompute solves over comes straight out of this membership table.
-    members: Vec<Vec<(u64, PathId, f64)>>,
+    members: Vec<Vec<Member>>,
     /// Links perturbed since the last recompute (seeds; may repeat).
     dirty: Vec<u32>,
     /// BFS visit stamps per link, keyed by epoch (no per-event clearing).
     link_mark: Vec<u64>,
+    /// BFS visit stamps per member slot, keyed by the same epoch: a flow
+    /// is collected, and its path walked, once per recompute however many
+    /// visited links it crosses.
+    slot_mark: Vec<u64>,
+    /// Member slots released by removed flows, reused before new ones.
+    free_slots: Vec<u32>,
     epoch: u64,
     solver: ComponentFill,
     /// Per-recompute scratch, kept across recomputes: the BFS queue, the
@@ -565,6 +577,18 @@ pub struct IncrementalMaxMin {
     bounds: Vec<usize>,
     problem: Vec<(PathId, f64)>,
     rate: Vec<f64>,
+}
+
+/// One flow's row in a link's membership list.
+#[derive(Clone, Copy, Debug)]
+struct Member {
+    id: u64,
+    path: PathId,
+    /// The flow's dense member slot: unique among live flows and recycled
+    /// once the flow leaves, so `slot_mark` stays sized to the peak
+    /// number of live flows.
+    slot: u32,
+    demand: f64,
 }
 
 impl IncrementalMaxMin {
@@ -582,9 +606,10 @@ impl IncrementalMaxMin {
     /// no member flows (e.g. a link whose last flow just left) contribute
     /// their links but no group.
     ///
-    /// Flow dedup rides on the sort the rows need anyway: the BFS collects
-    /// one row per member *occurrence* (a flow appears once per visited
-    /// link it crosses) and a per-group sort + dedup-by-id collapses them.
+    /// Each flow is collected once: the first visited link that lists it
+    /// stamps its member slot, and later occurrences (other links of its
+    /// path, or the same link repeated) are skipped without re-walking the
+    /// path.
     fn closure(&mut self, paths: &PathInterner) {
         self.epoch += 1;
         let epoch = self.epoch;
@@ -604,9 +629,14 @@ impl IncrementalMaxMin {
             let start = rows.len();
             while let Some(lj) = queue.pop() {
                 self.comp_links.push(lj);
-                for &(fid, path, demand) in &self.members[lj] {
-                    rows.push((fid, path, demand));
-                    for lk in paths.get(path) {
+                for m in &self.members[lj] {
+                    let slot = &mut self.slot_mark[m.slot as usize];
+                    if *slot == epoch {
+                        continue;
+                    }
+                    *slot = epoch;
+                    rows.push((m.id, m.path, m.demand));
+                    for lk in paths.get(m.path) {
                         let lk = lk.0 as usize;
                         if self.link_mark[lk] != epoch {
                             self.link_mark[lk] = epoch;
@@ -616,16 +646,6 @@ impl IncrementalMaxMin {
                 }
             }
             rows[start..].sort_unstable_by_key(|&(id, _, _)| id);
-            // Suffix-local dedup: occurrences of one flow never cross
-            // group boundaries, so earlier groups need no rescan.
-            let mut w = start;
-            for r in start..rows.len() {
-                if w == start || rows[r].0 != rows[w - 1].0 {
-                    rows[w] = rows[r];
-                    w += 1;
-                }
-            }
-            rows.truncate(w);
             if rows.len() > start {
                 self.bounds.push(rows.len());
             }
@@ -645,22 +665,35 @@ impl RateAllocator for IncrementalMaxMin {
     }
 
     fn on_flow_added(&mut self, id: u64, spec: &FlowSpec, path: &[LinkId]) {
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            self.slot_mark.push(0);
+            (self.slot_mark.len() - 1) as u32
+        });
+        let row = Member {
+            id,
+            path: spec.path,
+            slot,
+            demand: spec.demand_bps,
+        };
         for l in path {
-            self.members[l.0 as usize].push((id, spec.path, spec.demand_bps));
+            self.members[l.0 as usize].push(row);
             self.dirty.push(l.0);
         }
     }
 
     fn on_flow_removed(&mut self, id: u64, path: &[LinkId]) {
+        let mut slot = None;
         for l in path {
             let m = &mut self.members[l.0 as usize];
             let pos = m
                 .iter()
-                .position(|&(fid, _, _)| fid == id)
+                .position(|r| r.id == id)
                 .expect("removed flow was a member of its links");
-            m.swap_remove(pos);
+            slot = Some(m.swap_remove(pos).slot);
             self.dirty.push(l.0);
         }
+        self.free_slots
+            .push(slot.expect("a flow path has at least one link"));
     }
 
     fn on_link_changed(&mut self, link: LinkId) {
@@ -691,8 +724,7 @@ impl RateAllocator for IncrementalMaxMin {
         // the arithmetic the dense solver's union-find partition gives it.
         for g in bounds.windows(2) {
             let (a, b) = (g[0], g[1]);
-            let r = solver.fill_component(ctx.links, ctx.paths, &problem[a..b]);
-            rate[a..b].copy_from_slice(&r);
+            solver.fill_component(ctx.links, ctx.paths, &problem[a..b], &mut rate[a..b]);
             // Group-major writeback: ids ascend within each group, and the
             // gallop restarts per group.
             ctx.flows

@@ -106,70 +106,69 @@ impl LinkState {
     }
 }
 
-/// Marks a link absent from a [`HotLinks`] set.
-const NOT_HOT: u32 = u32::MAX;
-
 /// The links that carry flows or hold a standing queue: the only links
-/// [`FlowNet`]'s integration step must touch. A dense list of link indices,
-/// kept in no particular order, plus each link's position in it, so insert
-/// and remove (each with its membership test) are O(1) and a walk costs
-/// O(hot links).
+/// [`FlowNet`]'s integration step must touch. A bitset over the net's
+/// links, so insert and remove (each with its membership test) are O(1)
+/// and a walk visits the hot links in ascending link order, at one word
+/// test per 64 links plus one step per hot link.
 #[derive(Clone, Debug, Default)]
 pub struct HotLinks {
-    /// Hot link indices, unordered.
-    list: Vec<u32>,
-    /// Per link of the net: its index in `list`, or `NOT_HOT`.
-    pos: Vec<u32>,
+    /// Bit `l % 64` of word `l / 64` is set when link `l` is hot.
+    words: Vec<u64>,
+    /// Number of links the set covers.
+    nlinks: usize,
 }
 
 impl HotLinks {
     /// Make room for one more (cold) link.
     fn push_link(&mut self) {
-        self.pos.push(NOT_HOT);
+        if self.nlinks % 64 == 0 {
+            self.words.push(0);
+        }
+        self.nlinks += 1;
     }
 
     /// Add `link`; a no-op if it is already hot.
     pub(crate) fn insert(&mut self, link: usize) {
-        if self.pos[link] == NOT_HOT {
-            self.pos[link] = self.list.len() as u32;
-            self.list.push(link as u32);
-        }
+        debug_assert!(link < self.nlinks, "unknown link {link}");
+        self.words[link / 64] |= 1 << (link % 64);
     }
 
-    /// Drop `link`; a no-op if it is not hot. The last listed link takes
-    /// its slot.
+    /// Drop `link`; a no-op if it is not hot.
     pub(crate) fn remove(&mut self, link: usize) {
-        let p = self.pos[link];
-        if p != NOT_HOT {
-            self.pos[link] = NOT_HOT;
-            let last = self.list.pop().expect("a hot link is listed");
-            if last as usize != link {
-                self.list[p as usize] = last;
-                self.pos[last as usize] = p;
-            }
-        }
+        self.words[link / 64] &= !(1 << (link % 64));
     }
 
-    /// Keep only the links for which `keep` returns `true`, in one pass.
+    /// Keep only the links for which `keep` returns `true`, in one
+    /// ascending pass.
     fn retain(&mut self, mut keep: impl FnMut(u32) -> bool) {
-        let mut w = 0;
-        for r in 0..self.list.len() {
-            let l = self.list[r];
-            if keep(l) {
-                self.list[w] = l;
-                self.pos[l as usize] = w as u32;
-                w += 1;
-            } else {
-                self.pos[l as usize] = NOT_HOT;
+        for (w, word) in self.words.iter_mut().enumerate() {
+            for b in set_bits(*word) {
+                if !keep((w * 64) as u32 + b) {
+                    *word &= !(1 << b);
+                }
             }
         }
-        self.list.truncate(w);
     }
 
-    /// The hot links, in no particular order.
-    pub fn as_slice(&self) -> &[u32] {
-        &self.list
+    /// The hot links, in ascending link order.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| set_bits(word).map(move |b| (w * 64) as u32 + b))
     }
+}
+
+/// The positions of `word`'s set bits, ascending.
+fn set_bits(mut word: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros();
+            word &= word - 1;
+            b
+        })
+    })
 }
 
 /// Completion record returned by [`FlowNet::advance`].
@@ -233,6 +232,10 @@ pub struct FlowNet {
     /// log-bucket update per completion — so figures and oracles can read
     /// tail quantiles without pre-arranging instrumentation.
     fct: QuantileSketch,
+    /// Ids of the flows at or under `DONE_EPS_BITS` as of the last flow
+    /// walk `integrate_to` made, ascending: what the `advance` that made
+    /// the walk completes, without a second scan.
+    finished: Vec<u64>,
 }
 
 /// The counters [`FlowNet::surrogate_stats`] is typed by. No value is
@@ -285,6 +288,7 @@ impl FlowNet {
             probe: None,
             estimator: None,
             fct: QuantileSketch::default(),
+            finished: Vec::new(),
         }
     }
 
@@ -578,15 +582,23 @@ impl FlowNet {
     /// handle order). Completions are *detected* here, so drivers should
     /// advance to the time reported by [`FlowNet::next_completion`].
     pub fn advance(&mut self, now: SimTime) -> Vec<Completion> {
-        self.integrate_to(now);
-        let mut done = Vec::new();
-        let finished: Vec<u64> = self
-            .flows
-            .iter()
-            .filter(|(_, f)| f.remaining_bits <= DONE_EPS_BITS)
-            .map(|(id, _)| id)
-            .collect();
-        for id in finished {
+        if now == self.clock {
+            // No time moves, so `integrate_to` walks no flows; a flow
+            // started at this instant may already be at or under the
+            // threshold.
+            self.finished.clear();
+            self.finished.extend(
+                self.flows
+                    .iter()
+                    .filter(|(_, f)| f.remaining_bits <= DONE_EPS_BITS)
+                    .map(|(id, _)| id),
+            );
+        } else {
+            self.integrate_to(now);
+        }
+        let mut done = Vec::with_capacity(self.finished.len());
+        let finished = std::mem::take(&mut self.finished);
+        for &id in &finished {
             let f = self.flows.remove(id).expect("flow disappeared");
             self.allocator
                 .on_flow_removed(id, self.paths.get(f.spec.path));
@@ -603,6 +615,7 @@ impl FlowNet {
             });
             self.rates_dirty = true;
         }
+        self.finished = finished;
         done
     }
 
@@ -686,14 +699,20 @@ impl FlowNet {
         }
         self.recompute_if_dirty();
         let dt = (now - self.clock).as_secs_f64();
-        for (_, f) in self.flows.iter_mut() {
+        // One walk both integrates progress and notes the flows now at or
+        // under the completion threshold (for `advance`).
+        self.finished.clear();
+        for (id, f) in self.flows.iter_mut() {
             if f.rate_bps > 0.0 {
                 f.remaining_bits = (f.remaining_bits - f.rate_bps * dt).max(0.0);
+            }
+            if f.remaining_bits <= DONE_EPS_BITS {
+                self.finished.push(id);
             }
         }
         // Only hot links can change: idle links have zero rate, zero
         // offered load and an empty queue. Each link integrates on its own,
-        // so the walk order does not matter.
+        // so the walk order does not matter; the bitset walks ascending.
         let relax = (-dt / QUEUE_RELAX_TAU_S).exp();
         let FlowNet {
             ref mut links,
@@ -801,26 +820,57 @@ mod tests {
     #[test]
     fn hot_links_insert_remove_retain() {
         let mut hot = HotLinks::default();
-        for _ in 0..5 {
+        for _ in 0..130 {
             hot.push_link();
         }
-        for l in [3, 1, 4, 1] {
+        let links = |hot: &HotLinks| hot.iter().collect::<Vec<u32>>();
+        for l in [3, 1, 129, 4, 64, 1] {
             hot.insert(l);
         }
-        assert_eq!(hot.as_slice(), &[3, 1, 4], "insert is idempotent");
+        assert_eq!(
+            links(&hot),
+            [1, 3, 4, 64, 129],
+            "ascending, insert idempotent"
+        );
         hot.remove(3);
         hot.remove(0);
-        assert_eq!(hot.as_slice(), &[4, 1], "the last link fills the gap");
+        assert_eq!(
+            links(&hot),
+            [1, 4, 64, 129],
+            "removing a cold link is a no-op"
+        );
         hot.insert(2);
-        hot.retain(|l| l != 1);
-        assert_eq!(hot.as_slice(), &[4, 2]);
+        hot.retain(|l| l != 1 && l != 64);
+        assert_eq!(links(&hot), [2, 4, 129]);
         hot.insert(1);
         hot.remove(4);
-        assert_eq!(hot.as_slice(), &[1, 2], "positions survive retain");
-        hot.remove(1);
-        hot.remove(2);
-        assert!(hot.as_slice().is_empty());
-        assert!(hot.pos.iter().all(|&p| p == NOT_HOT));
+        assert_eq!(links(&hot), [1, 2, 129], "ascending after retain");
+        hot.retain(|_| false);
+        assert!(hot.iter().next().is_none());
+        assert!(hot.words.iter().all(|&w| w == 0));
+    }
+
+    #[test]
+    fn advance_at_the_clock_completes_a_flow_under_the_threshold() {
+        // A flow no bigger than DONE_EPS_BITS is done the instant it
+        // starts: `advance` at the net's own clock walks no flows in
+        // `integrate_to`, so it must find the flow with its own scan.
+        let (mut net, l) = net_with_links(&[100.0 * GBPS]);
+        let big = spec(&mut net, &l, 100.0 * GBPS, f64::INFINITY, 1);
+        net.start_flow(SimTime::ZERO, big);
+        net.advance(SimTime::from_millis(1));
+        let tiny = FlowSpec {
+            size_bits: DONE_EPS_BITS,
+            tag: 2,
+            ..big
+        };
+        let h = net.start_flow(SimTime::from_millis(1), tiny);
+        let done = net.advance(SimTime::from_millis(1));
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].handle, h);
+        assert_eq!(done[0].tag, 2);
+        assert_eq!(net.flow_count(), 1, "the big flow is still running");
+        assert_eq!(net.flow_remaining(h), None);
     }
 
     fn net_with_links(caps: &[f64]) -> (FlowNet, Vec<LinkId>) {

@@ -74,6 +74,9 @@ struct Driver {
     now: SimTime,
     /// Size of every flow an `Add` starts.
     flow_bits: f64,
+    /// Whether an `Add` collapses consecutive repeats of a link in its
+    /// path (the default) or keeps the path exactly as picked.
+    dedup_paths: bool,
 }
 
 impl Driver {
@@ -91,6 +94,7 @@ impl Driver {
             next_tag: 0,
             now: SimTime::ZERO,
             flow_bits: 1e15,
+            dedup_paths: true,
         }
     }
 
@@ -109,7 +113,9 @@ impl Driver {
         match op {
             Op::Add { picks, demand_gbps } => {
                 let mut path: Vec<LinkId> = picks.iter().map(|&i| self.links[i]).collect();
-                path.dedup();
+                if self.dedup_paths {
+                    path.dedup();
+                }
                 let path = self.net.intern_path(&path);
                 let h = self.net.start_flow(
                     self.now,
@@ -214,6 +220,109 @@ proptest! {
                 prop_assert!(alloc <= cap * (1.0 + 1e-6) + 1.0,
                     "link {i} oversubscribed: {alloc} > {cap}");
             }
+        }
+    }
+}
+
+/// The closure a recompute must cover, by brute force: union-find over
+/// every link, joining the links of each live flow, then every component
+/// that holds a perturbed link. Returns `(flows, links)` in it.
+fn brute_force_closure(nlinks: usize, live: &[Vec<usize>], seeds: &[usize]) -> (u64, u64) {
+    let mut parent: Vec<usize> = (0..nlinks).collect();
+    fn root(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    }
+    for path in live {
+        for w in path.windows(2) {
+            let (a, b) = (root(&mut parent, w[0]), root(&mut parent, w[1]));
+            parent[a] = b;
+        }
+    }
+    let hit: Vec<usize> = seeds.iter().map(|&l| root(&mut parent, l)).collect();
+    let links = (0..nlinks)
+        .filter(|&l| hit.contains(&root(&mut parent, l)))
+        .count();
+    let flows = live
+        .iter()
+        .filter(|path| hit.contains(&root(&mut parent, path[0])))
+        .count();
+    (flows as u64, links as u64)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The incremental closure visits each flow once however many of its
+    /// links the wave reaches, and each flow holds a member slot that is
+    /// recycled when it leaves. Random bursts (each one recompute) open
+    /// with a kill and close with a start, so a slot freed in a burst is
+    /// taken again in that burst or the next, and paths keep repeated
+    /// links (`[a, a]`, `[a, b, a]`). After every burst the rates equal
+    /// the dense oracle's bit for bit, and the recompute's
+    /// `flows_touched`/`links_touched` equal a brute-force union-find
+    /// closure seeded by the links the burst perturbed.
+    #[test]
+    fn closure_is_exact_under_slot_recycling(
+        caps in proptest::collection::vec(1u64..=400, 3..8),
+        bursts in proptest::collection::vec(0usize..16, 1..14),
+        ops_salt in 0u64..u64::MAX,
+    ) {
+        let nlinks = caps.len();
+        let picks = proptest::collection::vec(0usize..nlinks, 1..5);
+        let ops = proptest::collection::vec(op_strategy(nlinks), 0..6);
+        let mut rng = proptest::TestRng::new(ops_salt);
+        let mut dense = Driver::new(AllocatorKind::Dense, &caps);
+        let mut incr = Driver::new(AllocatorKind::Incremental, &caps);
+        dense.dedup_paths = false;
+        incr.dedup_paths = false;
+        // Test-side model: each live flow's link indices (aligned with
+        // `incr.live`) and each link's nominal capacity.
+        let mut live: Vec<Vec<usize>> = Vec::new();
+        let mut cap: Vec<u64> = caps.clone();
+        for (k, &nth) in bursts.iter().enumerate() {
+            let mut burst = vec![Op::Kill { nth }];
+            burst.extend(ops.generate(&mut rng));
+            burst.push(Op::Add {
+                picks: picks.generate(&mut rng),
+                demand_gbps: 1 + nth as u64 * 37,
+            });
+            let mut seeds: Vec<usize> = Vec::new();
+            for op in &burst {
+                match op {
+                    Op::Add { picks, .. } => {
+                        seeds.extend(picks);
+                        live.push(picks.clone());
+                    }
+                    Op::Kill { nth } => {
+                        if !live.is_empty() {
+                            seeds.extend(live.remove(nth % live.len()));
+                        }
+                    }
+                    Op::SetCap { link, cap_gbps } => {
+                        if cap[*link] != *cap_gbps {
+                            cap[*link] = *cap_gbps;
+                            seeds.push(*link);
+                        }
+                    }
+                    Op::Toggle { link } => seeds.push(*link),
+                }
+                dense.apply(op);
+                incr.apply(op);
+            }
+            let before = incr.net.alloc_scope();
+            incr.net.recompute_if_dirty();
+            let d = incr.net.alloc_scope().since(&before);
+            prop_assert_eq!(d.events, 1, "burst {} is one recompute", k);
+            let (flows, links) = brute_force_closure(nlinks, &live, &seeds);
+            prop_assert_eq!(d.flows_touched, flows, "flows touched in burst {}", k);
+            prop_assert_eq!(d.links_touched, links, "links touched in burst {}", k);
+            let rd = dense.rates();
+            let ri = incr.rates();
+            assert_rates_agree(&rd, &ri, &format!("after burst {k} ({burst:?})"))?;
         }
     }
 }
@@ -487,8 +596,7 @@ fn completion_times_match_across_allocators() {
 /// The hot set is exactly {links with `active_flows > 0` or
 /// `queue_bits > 0`}: no idle link is walked and no busy one is missed.
 fn assert_hot_set_exact(net: &FlowNet, when: &str) -> Result<(), TestCaseError> {
-    let mut hot = net.hot_links().as_slice().to_vec();
-    hot.sort_unstable();
+    let hot: Vec<u32> = net.hot_links().iter().collect();
     let busy: Vec<u32> = (0..net.link_count() as u32)
         .filter(|&i| {
             let l = net.link(LinkId(i));
@@ -501,7 +609,7 @@ fn assert_hot_set_exact(net: &FlowNet, when: &str) -> Result<(), TestCaseError> 
 
 /// Everything a batched recompute must reproduce, as exact bit patterns:
 /// each live flow's rate and remaining bits, each link's aggregates and
-/// queue, and the (sorted) hot set.
+/// queue, and the hot set (ascending).
 #[derive(Debug, PartialEq)]
 struct Snapshot {
     flows: Vec<(u64, u64)>,
@@ -533,8 +641,7 @@ fn snapshot(d: &mut Driver) -> Snapshot {
             )
         })
         .collect();
-    let mut hot = d.net.hot_links().as_slice().to_vec();
-    hot.sort_unstable();
+    let hot: Vec<u32> = d.net.hot_links().iter().collect();
     Snapshot { flows, links, hot }
 }
 

@@ -694,12 +694,20 @@ impl ClusterSim {
     /// Process the next pending event, if any. Lets callers interleave
     /// their own stop conditions (e.g. "run until this job finishes").
     pub fn step<A: ClusterApp>(&mut self, app: &mut A) -> bool {
+        self.step_until(app, SimTime::MAX)
+    }
+
+    /// Process the next pending event if it is due at or before
+    /// `deadline`, and report whether one was. One look at the next event
+    /// time per call — a caller that would ask [`ClusterSim::next_event_time`]
+    /// before each [`ClusterSim::step`] pays that scan twice.
+    pub fn step_until<A: ClusterApp>(&mut self, app: &mut A, deadline: SimTime) -> bool {
         match self.next_event_time() {
-            Some(t) => {
+            Some(t) if t <= deadline => {
                 self.process_at(app, t);
                 true
             }
-            None => false,
+            _ => false,
         }
     }
 
@@ -707,12 +715,7 @@ impl ClusterSim {
     /// Returns at the deadline with time advanced exactly there.
     pub fn run<A: ClusterApp>(&mut self, app: &mut A, deadline: SimTime) {
         assert!(deadline >= self.now, "deadline in the past");
-        while let Some(t) = self.next_event_time() {
-            if t > deadline {
-                break;
-            }
-            self.process_at(app, t);
-        }
+        while self.step_until(app, deadline) {}
         // Nothing left before the deadline.
         let dones = self.net.advance(deadline);
         self.now = deadline;
